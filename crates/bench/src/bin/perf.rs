@@ -731,24 +731,28 @@ fn main() {
         ela_summary = Some(s);
     });
     let ela_summary = ela_summary.unwrap();
-    let ela_records: Vec<_> =
-        ela_summary.reports.iter().flat_map(|r| r.resizes.iter()).collect();
+    let ela_records: Vec<_> = ela_summary
+        .reports
+        .iter()
+        .flat_map(|r| &r.transitions)
+        .filter_map(|t| Some((t, t.arbitration?)))
+        .collect();
     assert_eq!(ela_records.len(), 4, "the plan schedules four resizes");
     let ela_repart_wins =
-        ela_records.iter().filter(|r| r.choice == ResizeChoice::Repart).count();
+        ela_records.iter().filter(|(_, a)| a.choice == ResizeChoice::Repart).count();
     let ela_repart_cost =
-        ela_records.iter().map(|r| r.repart_cost).sum::<f64>() / ela_records.len() as f64;
+        ela_records.iter().map(|(_, a)| a.repart_cost).sum::<f64>() / ela_records.len() as f64;
     let ela_scratch_cost =
-        ela_records.iter().map(|r| r.scratch_cost).sum::<f64>() / ela_records.len() as f64;
-    for r in &ela_records {
+        ela_records.iter().map(|(_, a)| a.scratch_cost).sum::<f64>() / ela_records.len() as f64;
+    for (r, a) in &ela_records {
         eprintln!(
             "  epoch {:>2}: {} -> {} parts via {:<7} repart {:>12.1} vs scratch {:>12.1}",
             r.epoch,
             r.k_before,
             r.k_after,
-            r.choice.name(),
-            r.repart_cost,
-            r.scratch_cost
+            a.choice.name(),
+            a.repart_cost,
+            a.scratch_cost
         );
     }
     eprintln!(

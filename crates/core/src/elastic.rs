@@ -1,40 +1,44 @@
-//! Elastic worlds: planned grow/shrink of the rank set (DESIGN.md §15).
+//! World transitions: failures and planned grow/shrink of the rank set
+//! (DESIGN.md §15).
 //!
-//! Failure recovery (DESIGN.md §12) taught the epoch driver to shrink
-//! the world when a rank *dies*. This module makes resizing a
-//! first-class, *planned* scenario: a [`WorldPlan`] schedules rank
-//! arrivals (spares joining, rolling restarts returning) and departures
-//! (shrink under low load) per epoch, and the driver consumes it at
-//! epoch boundaries exactly where it consumes the fault plan.
+//! A [`WorldPlan`] schedules rank arrivals (spares joining, rolling
+//! restarts returning) and departures (shrink under low load) per
+//! epoch; a [`FaultPlan`] schedules rank failures. The epoch driver
+//! consumes both at epoch boundaries as *transitions*: a failure is
+//! simply an unplanned leave of one rank.
 //!
-//! A resize is posed as the repartitioning problem the model already
-//! solves, on three label spaces at once:
+//! A transition is posed as the repartitioning problem the model
+//! already solves, on three label spaces at once:
 //!
 //! * the **before** space `0..k_before` — the compacted labels of the
-//!   pre-resize world, where `old_part` lives;
+//!   pre-transition world, where `old_part` lives;
 //! * the **post** space `0..k_after` — survivors compacted in label
 //!   order, then joiners appended — where the committed partition
 //!   lives;
 //! * the **union** space `0..k_before + #joins` — every rank that is
-//!   alive at any point during the resize. Migration physically
-//!   executes here: leavers ship their vertices out, joiners receive
+//!   alive at any point during the transition. Migration physically
+//!   executes here: leavers ship their vertices out (for a failure, the
+//!   simulation's stand-in for a checkpoint restore), joiners receive
 //!   theirs, and the measured exchange prices both flows.
 //!
-//! Two candidate partitions compete for every resize:
+//! Two candidate partitions exist:
 //!
 //! * **repartition** — [`RepartitionHypergraph::build_partial`] with
 //!   the leavers' vertices free (their migration is unavoidable and
-//!   destination-independent, the same argument as recovery orphans)
-//!   and survivors tethered, solved with fixed vertices onto `k_after`;
+//!   destination-independent, so the model must not distort placement
+//!   by charging it) and survivors tethered, solved with fixed vertices
+//!   onto `k_after`;
 //! * **scratch** — a free partition onto `k_after` parts, relabeled by
 //!   the maximal-matching heuristic against the surviving old labels
 //!   ([`crate::remap::remap_to_minimize_migration_partial`]).
 //!
-//! The *measured* cost model arbitrates: both candidates execute their
-//! migration on the union world ([`crate::exec::measure_epoch_with_faults`])
-//! and the lower measured `α·comm + mig` volume wins (model costs decide
-//! for unmeasured sessions — the two agree by the cut identity). The
-//! choice is recorded per resize ([`ResizeRecord`]) and in the
+//! For a planned transition the *measured* cost model arbitrates: both
+//! candidates execute their migration on the union world
+//! ([`crate::exec::measure_epoch_with_faults`]) and the lower measured
+//! `α·comm + mig` volume wins (model costs decide for unmeasured
+//! sessions — the two agree by the cut identity). A failure takes the
+//! repartition candidate without a contest. Every transition is
+//! recorded as a [`TransitionRecord`]; the arbitration also lands in the
 //! `resize_chose_*` trace counters.
 
 use std::sync::{Arc, Mutex};
@@ -238,6 +242,29 @@ impl WorldPlan {
     }
 }
 
+/// Why the world changed at an epoch boundary: which plan scheduled the
+/// change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TransitionCause {
+    /// A rank failed ([`FaultPlan`]): an unplanned leave whose
+    /// repartition candidate is forced (DESIGN.md §15).
+    Failure,
+    /// A planned resize ([`WorldPlan`]): the cost model arbitrates
+    /// between both candidates.
+    Planned,
+}
+
+impl TransitionCause {
+    /// Display name (the `cause` attribute of the `transition.epoch`
+    /// span).
+    pub fn name(self) -> &'static str {
+        match self {
+            TransitionCause::Failure => "failure",
+            TransitionCause::Planned => "planned",
+        }
+    }
+}
+
 /// Which candidate the per-resize arbitration picked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResizeChoice {
@@ -257,19 +284,9 @@ impl ResizeChoice {
     }
 }
 
-/// One planned world resize performed at an epoch boundary.
-#[derive(Clone, Debug)]
-pub struct ResizeRecord {
-    /// Epoch at whose boundary the resize applied (1-based).
-    pub epoch: usize,
-    /// Original ids of the ranks that joined, ascending.
-    pub joined: Vec<usize>,
-    /// Original ids of the ranks that departed, ascending.
-    pub departed: Vec<usize>,
-    /// Live parts before the resize.
-    pub k_before: usize,
-    /// Live parts after.
-    pub k_after: usize,
+/// The outcome of a planned transition's candidate arbitration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Arbitration {
     /// The candidate the cost model picked.
     pub choice: ResizeChoice,
     /// Decision cost of the repartition candidate (measured
@@ -278,76 +295,104 @@ pub struct ResizeRecord {
     pub repart_cost: f64,
     /// Decision cost of the scratch candidate, same units.
     pub scratch_cost: f64,
-    /// Model migration volume of the chosen move (union space,
-    /// including the departing ranks' evacuation).
+}
+
+/// One world transition performed at an epoch boundary: a rank failure
+/// or a planned resize.
+#[derive(Clone, Debug)]
+pub struct TransitionRecord {
+    /// Epoch at whose boundary the transition applied (1-based).
+    pub epoch: usize,
+    /// Failure or planned resize.
+    pub cause: TransitionCause,
+    /// Original ids of the ranks that joined, ascending (always empty
+    /// for a failure).
+    pub joined: Vec<usize>,
+    /// Original ids of the ranks that departed, ascending (the single
+    /// failed rank for a failure).
+    pub departed: Vec<usize>,
+    /// Live parts before the transition.
+    pub k_before: usize,
+    /// Live parts after.
+    pub k_after: usize,
+    /// Vertices evacuated from the departed ranks.
+    pub evacuated: usize,
+    /// Both candidate costs and the winner; `None` for a failure, whose
+    /// repartition candidate is forced.
+    pub arbitration: Option<Arbitration>,
+    /// Model migration volume of the transition move (union space,
+    /// including the evacuation).
     pub migration: f64,
-    /// Measured migration-phase makespan of the resize exchange in
+    /// Measured migration-phase makespan of the transition exchange in
     /// seconds (`0.0` when the trial runs without a network model).
     pub t_mig: f64,
 }
 
-/// The chosen outcome of one resize (driver-internal).
+/// The outcome of one transition (driver-internal).
 #[derive(Clone, Debug)]
-pub(crate) struct ResizeOutcome {
+pub(crate) struct TransitionOutcome {
     /// The new assignment in the post space (`0..k_after`).
     pub part: Vec<PartId>,
     /// The same assignment in the union space — what the migration
-    /// phase executes against the pre-resize assignment. (The driver
-    /// consumes the measured execution; the union labels themselves are
-    /// exercised by the unit tests.)
+    /// phase executes against the pre-transition assignment. (The
+    /// driver consumes the measured execution; the union labels
+    /// themselves are exercised by the unit tests.)
     #[cfg_attr(not(test), allow(dead_code))]
     pub exec_part: Vec<PartId>,
-    /// Ranks alive at any point during the resize.
+    /// Ranks alive at any point during the transition.
     #[cfg_attr(not(test), allow(dead_code))]
     pub k_union: usize,
-    /// Cost of the resize move, measured in the union space.
+    /// Cost of the move, measured in the union space.
     pub cost: CostBreakdown,
     /// Load imbalance of the new assignment over `k_after` parts.
     pub imbalance: f64,
-    /// Vertices that changed parts (every leaver vertex moves).
+    /// Vertices that changed parts (every evacuated vertex moves).
     pub moved: usize,
+    /// Vertices evacuated from the leaving parts.
+    pub evacuated: usize,
     /// Measured execution of the chosen candidate on the union world
     /// (`None` without a network model).
     pub execution: Option<EpochExecution>,
-    /// Which candidate won.
-    pub choice: ResizeChoice,
-    /// Decision cost of the repartition candidate.
-    pub repart_cost: f64,
-    /// Decision cost of the scratch candidate.
-    pub scratch_cost: f64,
+    /// The arbitration of a planned transition (`None` for a failure).
+    pub arbitration: Option<Arbitration>,
 }
 
-/// Performs one planned resize: the `leaving_labels` (pre-resize
+/// Performs one world transition: the `leaving_labels` (pre-transition
 /// compacted labels, sorted ascending) depart and `num_joining` fresh
-/// parts arrive. Solves both candidate partitions onto
-/// `k_after = k_before - #leaves + #joins` parts, arbitrates by the
-/// measured cost model (model costs when `network` is `None`), and
-/// returns the winner. With `comm` the candidate partitioners run
-/// collectively, exactly like [`crate::recover::recover_from_failure`].
+/// parts arrive, onto `k_after = k_before - #leaves + #joins` parts.
+///
+/// The fixed-vertex repartition candidate is always built. A planned
+/// transition also builds the scratch candidate and arbitrates by the
+/// measured cost model (model costs when `network` is `None`); a
+/// failure takes the repartition candidate without a contest. With
+/// `comm` the partitioners run collectively (all driver ranks call this
+/// with identical inputs and agree on the result); either way the
+/// outcome is a pure function of the inputs.
 ///
 /// # Panics
-/// Panics if the resize leaves no parts, a leaving label is out of
+/// Panics if the transition leaves no parts, a leaving label is out of
 /// range, or on length mismatches.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn perform_resize(
+pub(crate) fn perform_transition(
     mut comm: Option<&mut Comm>,
     h: &Hypergraph,
     old_part: &[PartId],
     leaving_labels: &[usize],
     num_joining: usize,
     k_before: usize,
+    cause: TransitionCause,
     alpha: f64,
     cfg: &RepartConfig,
     network: Option<&NetworkModel>,
     faults: Option<&FaultPlan>,
-) -> ResizeOutcome {
+) -> TransitionOutcome {
     assert_eq!(old_part.len(), h.num_vertices(), "old partition length mismatch");
     assert!(leaving_labels.iter().all(|&p| p < k_before), "leaving label out of range");
     assert!(leaving_labels.windows(2).all(|w| w[0] < w[1]), "leaving labels must be sorted");
     let survivors = k_before - leaving_labels.len();
     let k_after = survivors + num_joining;
     let k_union = k_before + num_joining;
-    assert!(k_after >= 1, "resize leaves no parts");
+    assert!(k_after >= 1, "transition leaves no parts");
 
     // before → post: survivors compact in label order; leavers vanish.
     let mut old_to_post: Vec<Option<PartId>> = vec![None; k_before];
@@ -377,6 +422,12 @@ pub(crate) fn perform_resize(
     // evacuation is unavoidable and costs the same wherever they land,
     // so the model must not distort placement by charging it.
     let partial: Vec<Option<PartId>> = old_part.iter().map(|&p| old_to_post[p]).collect();
+    let evacuated = partial.iter().filter(|p| p.is_none()).count();
+    let to_union =
+        |post: &[PartId]| -> Vec<PartId> { post.iter().map(|&q| post_to_union[q]).collect() };
+    let measure = |exec: &[PartId]| {
+        network.map(|net| measure_epoch_with_faults(h, old_part, exec, k_union, alpha, net, faults))
+    };
 
     // Candidate 1: fixed-vertex repartition of the partial model.
     let model = RepartitionHypergraph::build_partial(h, &partial, k_after, alpha);
@@ -387,60 +438,69 @@ pub(crate) fn perform_resize(
         None => partition_hypergraph_fixed(&model.augmented, k_after, &model.fixed, &cfg.hypergraph),
     };
     let part_repart = model.decode(&repart.part);
-
-    // Candidate 2: scratch partition + maximal-matching remap against
-    // the surviving old labels.
-    let free = FixedAssignment::free(h.num_vertices());
-    let scratch = match comm {
-        Some(comm) => parallel_partition_fixed(comm, h, k_after, &free, &cfg.hypergraph),
-        None => partition_hypergraph_fixed(h, k_after, &free, &cfg.hypergraph),
-    };
-    let part_scratch =
-        remap_to_minimize_migration_partial(&scratch.part, &partial, h.vertex_sizes(), k_after);
-
-    let to_union =
-        |post: &[PartId]| -> Vec<PartId> { post.iter().map(|&q| post_to_union[q]).collect() };
     let exec_repart = to_union(&part_repart);
-    let exec_scratch = to_union(&part_scratch);
     let cost_repart = CostBreakdown::measure(h, old_part, &exec_repart, k_union, alpha);
-    let cost_scratch = CostBreakdown::measure(h, old_part, &exec_scratch, k_union, alpha);
+    let meas_repart = measure(&exec_repart);
 
-    // Arbitration: measured cost volumes on the union world when a
-    // network model is installed (the migration physically executes —
-    // leavers evacuate, joiners fill); model totals otherwise. The two
-    // agree by the cut identity, so the decisions coincide on the
-    // integer-valued workloads. Ties go to the repartitioner.
-    let (meas_repart, meas_scratch) = match network {
-        Some(net) => (
-            Some(measure_epoch_with_faults(h, old_part, &exec_repart, k_union, alpha, net, faults)),
-            Some(measure_epoch_with_faults(h, old_part, &exec_scratch, k_union, alpha, net, faults)),
-        ),
-        None => (None, None),
-    };
-    let (repart_cost, scratch_cost) = match (&meas_repart, &meas_scratch) {
-        (Some(a), Some(b)) => (a.cost_volume(), b.cost_volume()),
-        _ => (cost_repart.total(), cost_scratch.total()),
-    };
-    let choice =
-        if repart_cost <= scratch_cost { ResizeChoice::Repart } else { ResizeChoice::Scratch };
-    let (part, exec_part, cost, execution) = match choice {
-        ResizeChoice::Repart => (part_repart, exec_repart, cost_repart, meas_repart),
-        ResizeChoice::Scratch => (part_scratch, exec_scratch, cost_scratch, meas_scratch),
+    let (part, exec_part, cost, execution, arbitration) = match cause {
+        TransitionCause::Failure => (part_repart, exec_repart, cost_repart, meas_repart, None),
+        TransitionCause::Planned => {
+            // Candidate 2: scratch partition + maximal-matching remap
+            // against the surviving old labels.
+            let free = FixedAssignment::free(h.num_vertices());
+            let scratch = match comm {
+                Some(comm) => parallel_partition_fixed(comm, h, k_after, &free, &cfg.hypergraph),
+                None => partition_hypergraph_fixed(h, k_after, &free, &cfg.hypergraph),
+            };
+            let part_scratch = remap_to_minimize_migration_partial(
+                &scratch.part,
+                &partial,
+                h.vertex_sizes(),
+                k_after,
+            );
+            let exec_scratch = to_union(&part_scratch);
+            let cost_scratch = CostBreakdown::measure(h, old_part, &exec_scratch, k_union, alpha);
+            let meas_scratch = measure(&exec_scratch);
+
+            // Arbitration: measured cost volumes on the union world when
+            // a network model is installed (the migration physically
+            // executes — leavers evacuate, joiners fill); model totals
+            // otherwise. The two agree by the cut identity, so the
+            // decisions coincide on the integer-valued workloads. Ties go
+            // to the repartitioner.
+            let (repart_cost, scratch_cost) = match (&meas_repart, &meas_scratch) {
+                (Some(a), Some(b)) => (a.cost_volume(), b.cost_volume()),
+                _ => (cost_repart.total(), cost_scratch.total()),
+            };
+            let choice = if repart_cost <= scratch_cost {
+                ResizeChoice::Repart
+            } else {
+                ResizeChoice::Scratch
+            };
+            let arbitration = Some(Arbitration { choice, repart_cost, scratch_cost });
+            match choice {
+                ResizeChoice::Repart => {
+                    (part_repart, exec_repart, cost_repart, meas_repart, arbitration)
+                }
+                ResizeChoice::Scratch => {
+                    (part_scratch, exec_scratch, cost_scratch, meas_scratch, arbitration)
+                }
+            }
+        }
     };
     let imbalance = metrics::imbalance(h, &part, k_after);
     let moved = metrics::moved_vertex_count(old_part, &exec_part);
 
-    ResizeOutcome {
+    TransitionOutcome {
         part,
         exec_part,
         k_union,
         cost,
         imbalance,
         moved,
+        evacuated,
         execution,
-        choice,
-        repart_cost,
-        scratch_cost,
+        arbitration,
     }
 }
 
@@ -637,11 +697,103 @@ mod tests {
         (h, old)
     }
 
+    fn planned(
+        h: &Hypergraph,
+        old: &[PartId],
+        leaving: &[usize],
+        joining: usize,
+        k: usize,
+        cfg: &RepartConfig,
+        net: Option<&NetworkModel>,
+    ) -> TransitionOutcome {
+        let cause = TransitionCause::Planned;
+        perform_transition(None, h, old, leaving, joining, k, cause, 10.0, cfg, net, None)
+    }
+
+    fn failure(
+        comm: Option<&mut Comm>,
+        h: &Hypergraph,
+        old: &[PartId],
+        dead: usize,
+        k: usize,
+        cfg: &RepartConfig,
+    ) -> TransitionOutcome {
+        let cause = TransitionCause::Failure;
+        perform_transition(comm, h, old, &[dead], 0, k, cause, 10.0, cfg, None, None)
+    }
+
+    #[test]
+    fn failure_forces_the_repartition_candidate() {
+        let (h, old) = grid(8, 8, 4);
+        let cfg = RepartConfig::seeded(1);
+        let out = failure(None, &h, &old, 2, 4, &cfg);
+        assert_eq!(out.arbitration, None, "a failure offers no contest");
+        assert_eq!(out.evacuated, old.iter().filter(|&&p| p == 2).count());
+        assert!(out.evacuated > 0);
+        // Recovered labels live in the shrunken space...
+        assert!(out.part.iter().all(|&p| p < 3));
+        // ...and the union labels never resurrect part 2.
+        assert!(out.exec_part.iter().all(|&p| p < 4 && p != 2));
+        // Every orphan moved; the balance over 3 parts is sane.
+        assert!(out.moved >= out.evacuated);
+        assert!(out.imbalance < 1.5, "imbalance {}", out.imbalance);
+        // The measured migration pays at least the orphan restore.
+        let orphan_bytes: f64 =
+            old.iter().enumerate().filter(|&(_, &p)| p == 2).map(|(v, _)| h.vertex_size(v)).sum();
+        assert!(out.cost.migration >= orphan_bytes);
+        // The forced candidate is exactly the one a planned leave prices.
+        let leave = planned(&h, &old, &[2], 0, 4, &cfg, None);
+        assert_eq!(leave.arbitration.unwrap().repart_cost, out.cost.total());
+        assert_eq!(leave.evacuated, out.evacuated);
+    }
+
+    #[test]
+    fn failure_label_compaction_round_trips() {
+        let (h, old) = grid(6, 6, 3);
+        for dead in 0..3 {
+            let out = failure(None, &h, &old, dead, 3, &RepartConfig::seeded(2));
+            assert_eq!(out.k_union, 3);
+            for (&q, &e) in out.part.iter().zip(&out.exec_part) {
+                assert_eq!(e, if q >= dead { q + 1 } else { q });
+            }
+        }
+    }
+
+    #[test]
+    fn collective_failure_is_invariant_across_rank_counts() {
+        use dlb_mpisim::run_spmd;
+        let (h, old) = grid(8, 8, 4);
+        let mut per_world: Vec<Vec<PartId>> = Vec::new();
+        for ranks in [2usize, 4] {
+            let results = run_spmd(ranks, |comm| {
+                failure(Some(comm), &h, &old, 1, 4, &RepartConfig::seeded(3)).part
+            });
+            // All ranks agree...
+            for part in &results {
+                assert_eq!(*part, results[0], "ranks = {ranks}");
+            }
+            per_world.push(results.into_iter().next().unwrap());
+        }
+        // ...and on this problem the 2- and 4-rank worlds also agree
+        // (pinned as a regression guard; rank-count equality is not a
+        // repo-wide invariant).
+        assert_eq!(per_world[0], per_world[1]);
+        assert!(per_world[0].iter().all(|&p| p < 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "transition leaves no parts")]
+    fn refuses_to_fail_the_last_part() {
+        let (h, _) = grid(2, 2, 1);
+        let old = vec![0; 4];
+        let _ = failure(None, &h, &old, 0, 1, &RepartConfig::seeded(4));
+    }
+
     #[test]
     fn shrink_evacuates_the_leaver() {
         let (h, old) = grid(8, 8, 4);
         let cfg = RepartConfig::seeded(1);
-        let out = perform_resize(None, &h, &old, &[2], 0, 4, 10.0, &cfg, None, None);
+        let out = planned(&h, &old, &[2], 0, 4, &cfg, None);
         assert_eq!(out.k_union, 4);
         assert!(out.part.iter().all(|&p| p < 3));
         // In the union space the departed label is never reassigned.
@@ -655,13 +807,13 @@ mod tests {
     fn grow_populates_the_joiners() {
         let (h, old) = grid(8, 8, 2);
         let cfg = RepartConfig::seeded(2);
-        let out = perform_resize(None, &h, &old, &[], 2, 2, 10.0, &cfg, None, None);
+        let out = planned(&h, &old, &[], 2, 2, &cfg, None);
         assert_eq!(out.k_union, 4);
         assert!(out.part.iter().all(|&p| p < 4));
         // Growth onto spares must actually use them: balance over 4
         // parts forces every part non-empty on a uniform grid.
         for p in 0..4 {
-            assert!(out.part.iter().any(|&q| q == p), "part {p} left empty");
+            assert!(out.part.contains(&p), "part {p} left empty");
         }
         assert!(out.imbalance < 1.5, "imbalance {}", out.imbalance);
         // Post labels 2,3 map to union labels 2,3 (fresh ranks).
@@ -674,7 +826,7 @@ mod tests {
     fn simultaneous_shrink_and_grow_relabels_consistently() {
         let (h, old) = grid(8, 8, 3);
         let cfg = RepartConfig::seeded(3);
-        let out = perform_resize(None, &h, &old, &[0], 2, 3, 10.0, &cfg, None, None);
+        let out = planned(&h, &old, &[0], 2, 3, &cfg, None);
         // post: {old1→0, old2→1, new→2, new→3}; union: {0..3 old, 3,4 new}.
         assert_eq!(out.k_union, 5);
         assert!(out.part.iter().all(|&p| p < 4));
@@ -698,14 +850,15 @@ mod tests {
     fn arbitration_reports_both_candidate_costs() {
         let (h, old) = grid(8, 8, 4);
         let cfg = RepartConfig::seeded(4);
-        let out = perform_resize(None, &h, &old, &[1], 0, 4, 10.0, &cfg, None, None);
-        assert!(out.repart_cost > 0.0);
-        assert!(out.scratch_cost > 0.0);
-        let winner = match out.choice {
-            ResizeChoice::Repart => out.repart_cost,
-            ResizeChoice::Scratch => out.scratch_cost,
+        let out = planned(&h, &old, &[1], 0, 4, &cfg, None);
+        let a = out.arbitration.expect("planned transitions arbitrate");
+        assert!(a.repart_cost > 0.0);
+        assert!(a.scratch_cost > 0.0);
+        let winner = match a.choice {
+            ResizeChoice::Repart => a.repart_cost,
+            ResizeChoice::Scratch => a.scratch_cost,
         };
-        assert!(winner <= out.repart_cost.max(out.scratch_cost));
+        assert!(winner <= a.repart_cost.max(a.scratch_cost));
         // Unmeasured arbitration decides on the model total of the win.
         assert_eq!(winner, out.cost.total());
     }
@@ -715,12 +868,14 @@ mod tests {
         let (h, old) = grid(6, 6, 3);
         let cfg = RepartConfig::seeded(5);
         let net = NetworkModel::default();
-        let measured =
-            perform_resize(None, &h, &old, &[0], 1, 3, 10.0, &cfg, Some(&net), None);
-        let modeled = perform_resize(None, &h, &old, &[0], 1, 3, 10.0, &cfg, None, None);
+        let measured = planned(&h, &old, &[0], 1, 3, &cfg, Some(&net));
+        let modeled = planned(&h, &old, &[0], 1, 3, &cfg, None);
         // Same candidates, and on integer-valued inputs the measured
         // volumes equal the model costs bitwise — so the same winner.
-        assert_eq!(measured.choice, modeled.choice);
+        assert_eq!(
+            measured.arbitration.map(|a| a.choice),
+            modeled.arbitration.map(|a| a.choice)
+        );
         assert_eq!(measured.part, modeled.part);
         let e = measured.execution.expect("measured resize");
         assert_eq!(e.cost_volume(), modeled.cost.total());
@@ -729,20 +884,33 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_the_partition() {
-        use dlb_workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
-        let d = Dataset::generate(DatasetKind::Auto, 0.0005, 11);
-        let n = d.graph.num_vertices();
+        // AMR refinement follows the features, never the decomposition,
+        // so two sources that differ only in their initial partition
+        // deliver the same science. (`EpochStream`'s weight perturbation
+        // picks parts from the current partition, so its science is
+        // partition-dependent and outside the fingerprint's contract.)
+        use dlb_amr::{AmrConfig, AmrStream};
+        use dlb_workloads::AmrSource;
+        let k = 2;
         let make = |shift: usize| {
-            let init: Vec<usize> = (0..n).map(|v| (v + shift) % 2).collect();
-            EpochStream::new(d.graph.clone(), Perturbation::weights(), 2, init, 11)
+            let stream = AmrStream::new(AmrConfig::small(), k, 11);
+            let n = stream.initial_lowering().graph.num_vertices();
+            let init: Vec<PartId> = (0..n).map(|v| (v + shift) % k).collect();
+            AmrSource::new(stream, &init)
         };
         let (mut a, mut b) = (make(0), make(1));
-        let (sa, sb) = (a.next_epoch(), b.next_epoch());
-        assert_ne!(sa.old_part, sb.old_part);
-        assert_eq!(science_fingerprint(&sa), science_fingerprint(&sb));
+        let mut digests = Vec::new();
+        for _ in 0..3 {
+            let (sa, sb) = (a.next_epoch(), b.next_epoch());
+            assert_ne!(sa.old_part, sb.old_part);
+            assert_eq!(science_fingerprint(&sa), science_fingerprint(&sb));
+            digests.push(science_fingerprint(&sa));
+            a.commit_assignment(&sa, &sa.old_part);
+            b.commit_assignment(&sb, &sb.old_part);
+        }
         // ...but any science change is visible.
-        let sa2 = a.next_epoch();
-        assert_ne!(science_fingerprint(&sa), science_fingerprint(&sa2));
+        assert_ne!(digests[0], digests[1]);
+        assert_ne!(digests[1], digests[2]);
     }
 
     #[test]

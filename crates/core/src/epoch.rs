@@ -23,9 +23,10 @@ use crate::driver::{
     repartition, repartition_parallel, repartition_patched, Algorithm, RepartConfig,
     RepartProblem,
 };
-use crate::elastic::{perform_resize, ResizeChoice, ResizeRecord, WorldPlan};
+use crate::elastic::{
+    perform_transition, ResizeChoice, TransitionCause, TransitionRecord, WorldPlan,
+};
 use crate::exec::{measure_epoch_with_faults, CompetitiveRatio, EpochExecution, NetworkModel};
-use crate::recover::recover_from_failure;
 
 /// The per-epoch drift policy of an incremental run: epochs whose delta
 /// touched less than `drift_threshold` of the mesh are patched and
@@ -37,30 +38,6 @@ use crate::recover::recover_from_failure;
 pub(crate) struct IncrementalPolicy {
     /// Warm-start when `touched_fraction < drift_threshold` (strict).
     pub drift_threshold: f64,
-}
-
-/// One rank-failure recovery performed at an epoch boundary
-/// (DESIGN.md §12).
-#[derive(Clone, Debug)]
-pub struct RecoveryRecord {
-    /// The failed rank's id in the *launch-time* `0..k` world (fault
-    /// plans always speak original ids, however many ranks have already
-    /// died).
-    pub failed_rank: usize,
-    /// Epoch at whose boundary the failure was detected (1-based).
-    pub epoch: usize,
-    /// Surviving parts before this recovery.
-    pub k_before: usize,
-    /// Surviving parts after (always `k_before - 1`).
-    pub k_after: usize,
-    /// Vertices orphaned by the failure.
-    pub orphans: usize,
-    /// Model migration volume of the recovery move, including the
-    /// orphan restore.
-    pub migration: f64,
-    /// Measured migration-phase makespan of the recovery exchange in
-    /// seconds (`0.0` when the trial runs without a network model).
-    pub t_mig: f64,
 }
 
 /// Per-epoch measurements.
@@ -81,16 +58,13 @@ pub struct EpochReport {
     /// Measured execution of the epoch (only under the `_measured`
     /// simulation variants).
     pub execution: Option<EpochExecution>,
-    /// Rank-failure recoveries performed at this epoch's boundary
-    /// (empty on fault-free epochs). When non-empty, the epoch's
-    /// repartition *was* the recovery chain: `cost.migration` and the
+    /// World transitions performed at this epoch's boundary, in order:
+    /// one per failed rank, then at most one planned resize (all net
+    /// joins and leaves of the epoch apply in a single repartition).
+    /// Empty on event-free epochs. When non-empty, the epoch's
+    /// repartition *was* the transition chain: `cost.migration` and the
     /// execution's `t_mig`/`mig_volume` fold in every step.
-    pub recoveries: Vec<RecoveryRecord>,
-    /// Planned world resizes performed at this epoch's boundary (at
-    /// most one — all net joins and leaves of the epoch apply in a
-    /// single repartition). Folds into the epoch's report exactly like
-    /// a recovery step.
-    pub resizes: Vec<ResizeRecord>,
+    pub transitions: Vec<TransitionRecord>,
     /// Parts alive after this epoch's boundary events (failures and
     /// planned resizes applied).
     pub world_k: usize,
@@ -106,7 +80,7 @@ pub struct SimulationSummary {
     /// Number of parts at launch. Rank failures and planned resizes
     /// move the live world away from this; see
     /// [`SimulationSummary::world_timeline`] and the per-epoch
-    /// [`EpochReport::recoveries`] / [`EpochReport::resizes`].
+    /// [`EpochReport::transitions`].
     pub k: usize,
     /// Per-epoch reports, in order.
     pub reports: Vec<EpochReport>,
@@ -156,12 +130,16 @@ impl SimulationSummary {
 
     /// Rank-failure recoveries performed over the trial.
     pub fn total_recoveries(&self) -> usize {
-        self.reports.iter().map(|r| r.recoveries.len()).sum()
+        self.total_transitions(TransitionCause::Failure)
     }
 
     /// Planned world resizes performed over the trial.
     pub fn total_resizes(&self) -> usize {
-        self.reports.iter().map(|r| r.resizes.len()).sum()
+        self.total_transitions(TransitionCause::Planned)
+    }
+
+    fn total_transitions(&self, cause: TransitionCause) -> usize {
+        self.reports.iter().flat_map(|r| &r.transitions).filter(|t| t.cause == cause).count()
     }
 
     /// The per-epoch world-size timeline `(epoch, parts alive after its
@@ -235,11 +213,12 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 
 /// The shared epoch loop: `comm` selects serial vs collective
 /// repartitioning; `network` turns on the measured execution model;
-/// `faults` installs a [`FaultPlan`] (rank failures recovered at epoch
-/// boundaries, message drop/delay injected into the measured migration
-/// world); `world` installs a [`WorldPlan`] (planned rank arrivals and
-/// departures applied as elastic resizes at epoch boundaries, after any
-/// failures). Public API: [`crate::session::Session`].
+/// `faults` installs a [`FaultPlan`] (rank failures applied as
+/// unplanned leaves at epoch boundaries, message drop/delay injected
+/// into the measured migration world); `world` installs a [`WorldPlan`]
+/// (planned rank arrivals and departures applied as elastic resizes at
+/// epoch boundaries, after any failures). Public API:
+/// [`crate::session::Session`].
 ///
 /// Failure detection is plan-driven: every driver rank consults the
 /// shared plan at the epoch boundary (a perfect failure detector), so
@@ -332,7 +311,15 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 (joins, leaves)
             })
             .filter(|(j, l)| !(j.is_empty() && l.is_empty()));
-        let report = if dying.is_empty() && planned.is_none() {
+        // The boundary's transitions: each failure is an unplanned leave
+        // of one rank, applied first and one at a time; then the net
+        // planned resize.
+        let transitions: Vec<(TransitionCause, Vec<usize>, Vec<usize>)> = dying
+            .iter()
+            .map(|&r| (TransitionCause::Failure, vec![r], Vec::new()))
+            .chain(planned.map(|(joins, leaves)| (TransitionCause::Planned, leaves, joins)))
+            .collect();
+        let report = if transitions.is_empty() {
             let problem = RepartProblem {
                 hypergraph: &snapshot.hypergraph,
                 graph: &snapshot.graph,
@@ -392,129 +379,84 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 num_vertices: snapshot.graph.num_vertices(),
                 elapsed: result.elapsed,
                 execution,
-                recoveries: Vec::new(),
-                resizes: Vec::new(),
+                transitions: Vec::new(),
                 world_k: membership.k(),
             }
         } else {
-            // Boundary events replace the epoch's repartition. First
-            // the failure-recovery chain: each dead rank shrinks the
-            // world by one and repartitions from the failure-time
-            // assignment (its vertices free, survivors tethered —
-            // DESIGN.md §12). Then at most one planned elastic resize
-            // applies the epoch's net joins and leaves in a single
-            // repartition (DESIGN.md §15). Incremental runs discard
-            // any patched model here — these are full rebuilds by
+            // Boundary transitions replace the epoch's repartition, each
+            // a fixed-vertex repartition from the previous step's
+            // assignment (DESIGN.md §15). Incremental runs discard any
+            // patched model here — these are full rebuilds by
             // definition.
             if patcher.is_some() {
                 dlb_trace::count(dlb_trace::Counter::FullRebuilds, 1);
             }
             let start = Instant::now();
             let mut old = snapshot.old_part.clone();
-            let mut recoveries = Vec::with_capacity(dying.len());
-            let mut resizes = Vec::new();
+            let mut records = Vec::with_capacity(transitions.len());
             let mut steps: Vec<(CostBreakdown, f64, Option<EpochExecution>)> = Vec::new();
             let mut moved = 0usize;
-            for &orig in &dying {
-                let k_before = membership.k();
-                let c = membership.label_of(orig).expect("filtered to live ranks");
-                let rspan = dlb_trace::span!(
-                    "recover.epoch",
-                    epoch = epoch,
-                    rank = orig,
-                    k_before = k_before
-                );
-                dlb_trace::count(dlb_trace::Counter::FaultsInjected, 1);
-                dlb_trace::count(dlb_trace::Counter::RecoveriesRun, 1);
-                let out = recover_from_failure(
-                    comm.as_deref_mut(),
-                    &snapshot.hypergraph,
-                    &old,
-                    c,
-                    k_before,
-                    alpha,
-                    cfg,
-                );
-                // The recovery exchange physically runs on the full
-                // pre-failure world: the dead rank ships all its data
-                // out, the simulation's stand-in for a checkpoint
-                // restore, so the recovery volume lands in t_mig.
-                let execution = network.map(|net| {
-                    measure_epoch_with_faults(
-                        &snapshot.hypergraph,
-                        &old,
-                        &out.exec_part,
-                        k_before,
-                        alpha,
-                        net,
-                        faults,
-                    )
-                });
-                rspan.attr("orphans", out.orphans);
-                rspan.attr("migration", out.cost.migration);
-                if let Some(e) = &execution {
-                    rspan.attr("t_mig", e.t_mig);
-                }
-                recoveries.push(RecoveryRecord {
-                    failed_rank: orig,
-                    epoch,
-                    k_before,
-                    k_after: k_before - 1,
-                    orphans: out.orphans,
-                    migration: out.cost.migration,
-                    t_mig: execution.as_ref().map_or(0.0, |e| e.t_mig),
-                });
-                membership.remove(orig);
-                moved += out.moved;
-                old = out.part;
-                steps.push((out.cost, out.imbalance, execution));
-            }
-            if let Some((joins, leaves)) = planned {
+            for (cause, leaves, joins) in transitions {
                 let k_before = membership.k();
                 let leave_labels = membership.resize(&leaves, &joins);
                 let k_after = membership.k();
-                let rspan = dlb_trace::span!(
-                    "resize.epoch",
+                let tspan = dlb_trace::span!(
+                    "transition.epoch",
                     epoch = epoch,
+                    cause = cause.name(),
                     k_before = k_before,
                     k_after = k_after
                 );
-                dlb_trace::count(dlb_trace::Counter::ResizesRun, 1);
-                dlb_trace::count(dlb_trace::Counter::RanksJoined, joins.len() as u64);
-                dlb_trace::count(dlb_trace::Counter::RanksDeparted, leaves.len() as u64);
-                let out = perform_resize(
+                match cause {
+                    TransitionCause::Failure => {
+                        dlb_trace::count(dlb_trace::Counter::FaultsInjected, 1);
+                        dlb_trace::count(dlb_trace::Counter::RecoveriesRun, 1);
+                    }
+                    TransitionCause::Planned => {
+                        dlb_trace::count(dlb_trace::Counter::ResizesRun, 1);
+                        dlb_trace::count(dlb_trace::Counter::RanksJoined, joins.len() as u64);
+                        dlb_trace::count(dlb_trace::Counter::RanksDeparted, leaves.len() as u64);
+                    }
+                }
+                let out = perform_transition(
                     comm.as_deref_mut(),
                     &snapshot.hypergraph,
                     &old,
                     &leave_labels,
                     joins.len(),
                     k_before,
+                    cause,
                     alpha,
                     cfg,
                     network,
                     faults,
                 );
-                match out.choice {
-                    ResizeChoice::Repart => {
-                        dlb_trace::count(dlb_trace::Counter::ResizeChoseRepart, 1)
+                if let Some(a) = &out.arbitration {
+                    match a.choice {
+                        ResizeChoice::Repart => {
+                            dlb_trace::count(dlb_trace::Counter::ResizeChoseRepart, 1)
+                        }
+                        ResizeChoice::Scratch => {
+                            dlb_trace::count(dlb_trace::Counter::ResizeChoseScratch, 1)
+                        }
                     }
-                    ResizeChoice::Scratch => {
-                        dlb_trace::count(dlb_trace::Counter::ResizeChoseScratch, 1)
-                    }
+                    tspan.attr("chose_scratch", (a.choice == ResizeChoice::Scratch) as usize);
                 }
-                rspan.attr("migration", out.cost.migration);
-                rspan.attr("chose_scratch", (out.choice == ResizeChoice::Scratch) as usize);
-                resizes.push(ResizeRecord {
+                let t_mig = out.execution.as_ref().map_or(0.0, |e| e.t_mig);
+                tspan.attr("evacuated", out.evacuated);
+                tspan.attr("migration", out.cost.migration);
+                tspan.attr("t_mig", t_mig);
+                records.push(TransitionRecord {
                     epoch,
+                    cause,
                     joined: joins,
                     departed: leaves,
                     k_before,
                     k_after,
-                    choice: out.choice,
-                    repart_cost: out.repart_cost,
-                    scratch_cost: out.scratch_cost,
+                    evacuated: out.evacuated,
+                    arbitration: out.arbitration,
                     migration: out.cost.migration,
-                    t_mig: out.execution.as_ref().map_or(0.0, |e| e.t_mig),
+                    t_mig,
                 });
                 moved += out.moved;
                 old = out.part;
@@ -536,8 +478,7 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 patcher.commit(&snapshot.to_base, &old);
             }
             span.attr("moved", moved);
-            span.attr("recoveries", recoveries.len());
-            span.attr("resizes", resizes.len());
+            span.attr("transitions", records.len());
             EpochReport {
                 epoch,
                 cost,
@@ -546,8 +487,7 @@ pub(crate) fn run_epochs<S: EpochSource + ?Sized>(
                 num_vertices: snapshot.graph.num_vertices(),
                 elapsed: start.elapsed(),
                 execution,
-                recoveries,
-                resizes,
+                transitions: records,
                 world_k: membership.k(),
             }
         };

@@ -39,11 +39,11 @@ impl RepartitionHypergraph {
     /// [`RepartitionHypergraph::build`] for a *partial* old assignment:
     /// vertices with `None` get **no migration net** — they are free, to
     /// be placed wherever communication and balance dictate at zero
-    /// model-migration charge. This is how failure recovery poses its
-    /// problem (DESIGN.md §12): the dead rank's orphans are free, the
-    /// survivors stay tethered to their parts by ordinary migration
-    /// nets, and one fixed-vertex partitioning call onto the surviving
-    /// `k` parts is the whole recovery.
+    /// model-migration charge. This is how a world transition poses its
+    /// problem (DESIGN.md §15): the departing ranks' vertices are free,
+    /// the survivors stay tethered to their parts by ordinary migration
+    /// nets, and one fixed-vertex partitioning call onto the new `k`
+    /// parts is the repartition candidate.
     ///
     /// # Panics
     /// Panics if `old_part` has the wrong length or references a part

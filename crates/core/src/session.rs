@@ -246,9 +246,10 @@ impl<'a> Session<'a> {
     }
 
     /// Installs a deterministic [`FaultPlan`]: scheduled rank failures
-    /// are recovered at epoch boundaries by repartitioning onto the
-    /// survivors, and message drop/delay probabilities are injected
-    /// into the measured migration exchanges (DESIGN.md §12). Plan rank
+    /// apply at epoch boundaries as unplanned leaves, repartitioning the
+    /// dead rank's vertices onto the survivors (DESIGN.md §15), and
+    /// message drop/delay probabilities are injected into the measured
+    /// migration exchanges (DESIGN.md §12). Plan rank
     /// ids refer to the workload's `k` logical parts, so results are
     /// identical at any [`ranks`](Session::ranks) setting.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {

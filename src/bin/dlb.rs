@@ -11,7 +11,8 @@
 //!
 //! Options:
 //!   -k K              number of parts (required, >= 2)
-//!   --alpha A         iterations per epoch (repartition/simulate; default 100)
+//!   --alpha A         iterations per epoch, > 0 (repartition/simulate;
+//!                     default 100)
 //!   --algorithm NAME  zoltan-repart | zoltan-scratch | parmetis-repart |
 //!                     parmetis-scratch (repartition/simulate; default
 //!                     zoltan-repart)
@@ -33,8 +34,8 @@
 //!                     block-distributed per-vertex arrays across ranks
 //!                     (memory-scalable V-cycle; results are
 //!                     bit-identical to the replicated driver). Rejected
-//!                     together with --world-plan, --fault-plan,
-//!                     --incremental, or --constraints > 1 (exit 2)
+//!                     together with --incremental or --constraints > 1
+//!                     (exit 2)
 //!   --trace FILE      record a phase-level trace of the run and write it
 //!                     as chrome://tracing JSON (open in about:tracing or
 //!                     https://ui.perfetto.dev)
@@ -42,7 +43,7 @@
 //!   --workload W      simulate only: amr (the quadtree AMR simulator),
 //!                     structure, or weights (the paper's synthetic
 //!                     perturbations of the auto dataset)
-//!   --epochs E        simulate only: epochs to run (default 4)
+//!   --epochs E        simulate only: epochs to run, >= 1 (default 4)
 //!   --scale S         simulate only: amr — levels added to the default
 //!                     mesh (integer, default 0); structure/weights —
 //!                     dataset scale in (0, 1] (default 0.001)
@@ -519,30 +520,30 @@ fn print_simulation(summary: &SimulationSummary, alpha: f64) {
             alpha,
             e.t_mig * 1e3
         );
-        for rec in &r.recoveries {
-            println!(
-                "       recovered rank {} ({} -> {} parts): {} orphans, migration {:.1}, t_mig {:.4} ms",
-                rec.failed_rank,
-                rec.k_before,
-                rec.k_after,
-                rec.orphans,
-                rec.migration,
-                rec.t_mig * 1e3
-            );
-        }
-        for rec in &r.resizes {
-            println!(
-                "       resized {} -> {} parts (+{:?} -{:?}) via {}: repart {:.1} vs scratch {:.1}, migration {:.1}, t_mig {:.4} ms",
-                rec.k_before,
-                rec.k_after,
-                rec.joined,
-                rec.departed,
-                rec.choice.name(),
-                rec.repart_cost,
-                rec.scratch_cost,
-                rec.migration,
-                rec.t_mig * 1e3
-            );
+        for t in &r.transitions {
+            match &t.arbitration {
+                None => println!(
+                    "       recovered rank {} ({} -> {} parts): {} orphans, migration {:.1}, t_mig {:.4} ms",
+                    t.departed[0],
+                    t.k_before,
+                    t.k_after,
+                    t.evacuated,
+                    t.migration,
+                    t.t_mig * 1e3
+                ),
+                Some(a) => println!(
+                    "       resized {} -> {} parts (+{:?} -{:?}) via {}: repart {:.1} vs scratch {:.1}, migration {:.1}, t_mig {:.4} ms",
+                    t.k_before,
+                    t.k_after,
+                    t.joined,
+                    t.departed,
+                    a.choice.name(),
+                    a.repart_cost,
+                    a.scratch_cost,
+                    t.migration,
+                    t.t_mig * 1e3
+                ),
+            }
         }
     }
     let (comp, comm, mig) = summary.mean_phase_times().expect("measured simulation");
@@ -558,27 +559,22 @@ fn print_simulation(summary: &SimulationSummary, alpha: f64) {
 }
 
 fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
+    if cli.epochs == 0 {
+        fail("--epochs must be at least 1");
+    }
+    if let (Some("structure" | "weights"), Some(scale)) = (cli.workload.as_deref(), cli.scale) {
+        if !(scale > 0.0 && scale <= 1.0) {
+            fail(format!(
+                "--scale for --workload structure|weights must be in (0, 1], got {scale}"
+            ));
+        }
+    }
     if cli.incremental && (cli.ranks > 1 || cli.distributed) {
         fail("--incremental is serial-only; drop --ranks/--distributed");
     }
-    if cli.distributed {
-        // Owner-computes pin storage partitions under a fixed rank set
-        // and a scalar feasibility contract; these combinations would
-        // otherwise run but quietly fall short of what the flags promise.
-        if cli.world_plan.is_some() {
-            fail("--world-plan is incompatible with --distributed \
-                  (elastic resizes reshape the rank set; distributed pin storage \
-                  assumes a fixed world — drop --distributed)");
-        }
-        if cli.fault_plan.is_some() {
-            fail("--fault-plan is incompatible with --distributed \
-                  (fault recovery re-partitions on the replicated path — \
-                  drop --distributed)");
-        }
-        if cli.constraints > 1 {
-            fail("--constraints > 1 is incompatible with --distributed \
-                  (the distributed refiner has no auxiliary-feasibility repair pass)");
-        }
+    if cli.distributed && cli.constraints > 1 {
+        fail("--constraints > 1 is incompatible with --distributed \
+              (the distributed refiner has no auxiliary-feasibility repair pass)");
     }
     if cli.constraints > 1 {
         match cli.workload.as_deref() {
@@ -681,6 +677,9 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
 fn main() {
     let cli = parse_cli();
     let hg_cfg = validated_hg_config(&cli);
+    if !(cli.alpha > 0.0 && cli.alpha.is_finite()) {
+        fail(format!("--alpha must be a positive number, got {}", cli.alpha));
+    }
     if cli.command == "simulate" {
         run_simulate(&cli, hg_cfg);
         return;

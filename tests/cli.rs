@@ -192,23 +192,22 @@ fn rejects_invalid_multi_constraint_flags_up_front() {
 
 #[test]
 fn rejects_distributed_flag_conflicts_up_front() {
-    // Elastic resizes and fault recovery run on the replicated path;
-    // combining them with owner-computes storage must exit 2 instead of
-    // quietly running without the promised behavior.
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "structure", "--ranks", "2",
-            "--distributed", "--world-plan", "42:join4@2",
-        ],
-        "--world-plan is incompatible with --distributed",
-    );
-    assert_rejected(
-        &[
-            "simulate", "-k", "2", "--workload", "structure", "--ranks", "2",
-            "--distributed", "--fault-plan", "7:drop0.05",
-        ],
-        "--fault-plan is incompatible with --distributed",
-    );
+    // Failures and planned resizes repartition with the session's
+    // config, so they compose with owner-computes storage.
+    for (args, line) in [
+        (["-k", "2", "--world-plan", "42:join4@2"], "resized 2 -> 3 parts"),
+        (["-k", "3", "--fault-plan", "7:rank1@2,drop0.05"], "recovered rank 1 (3 -> 2 parts)"),
+    ] {
+        let output = dlb()
+            .args(["simulate", "--workload", "structure", "--ranks", "2", "--distributed"])
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "args {args:?}: {stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains(line), "args {args:?}: stdout {stdout:?} lacks {line:?}");
+    }
     // The distributed refiner has no auxiliary-feasibility repair.
     assert_rejected(
         &[
@@ -225,6 +224,21 @@ fn rejects_distributed_flag_conflicts_up_front() {
         ],
         "--incremental is serial-only",
     );
+}
+
+#[test]
+fn rejects_panicking_simulate_inputs_up_front() {
+    for (args, needle) in [
+        (&["--workload", "amr", "--epochs", "0"][..], "--epochs must be at least 1"),
+        (&["--workload", "structure", "--scale", "0"][..], "must be in (0, 1]"),
+        (&["--workload", "weights", "--scale", "1.5"][..], "must be in (0, 1]"),
+        (&["--workload", "amr", "--alpha", "-1"][..], "--alpha must be a positive number"),
+        (&["--workload", "amr", "--alpha", "NaN"][..], "--alpha must be a positive number"),
+    ] {
+        let mut full = vec!["simulate", "-k", "4"];
+        full.extend_from_slice(args);
+        assert_rejected(&full, needle);
+    }
 }
 
 #[test]

@@ -3,9 +3,13 @@
 //! V-cycle must produce the *bit-identical* partition — and therefore
 //! identical cost-model values — as the replicated SPMD driver at the
 //! same rank count, on cage-style workloads, for k ∈ {4, 8} and both
-//! dynamics (structure and weight perturbations).
+//! dynamics (structure and weight perturbations) — and through whole
+//! sessions whose world changes by failures and planned resizes.
 
-use dlb::core::{repartition_parallel, Algorithm, RepartConfig, RepartProblem, RepartResult};
+use dlb::core::{
+    repartition_parallel, Algorithm, FaultPlan, RepartConfig, RepartProblem, RepartResult,
+    Session, WorldPlan,
+};
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::mpisim::run_spmd;
 use dlb::workloads::{Dataset, DatasetKind, EpochSnapshot, EpochStream, Perturbation};
@@ -99,5 +103,44 @@ fn distributed_repart_is_reproducible_run_to_run() {
         let first = run(&snap, 4, Algorithm::ZoltanRepart, ranks, true);
         let second = run(&snap, 4, Algorithm::ZoltanRepart, ranks, true);
         assert_equivalent(&first, &second, &format!("repeat ranks={ranks}"));
+    }
+}
+
+/// Failures and planned resizes repartition with the session's config,
+/// so a session whose world shrinks and grows runs the distributed
+/// driver throughout and must reproduce the replicated session's
+/// per-epoch outputs bit for bit.
+#[test]
+fn distributed_world_transitions_match_replicated() {
+    let run = |ranks: usize, distributed: bool| {
+        let mut cfg = RepartConfig::seeded(7);
+        cfg.hypergraph.dist.distributed = distributed;
+        cfg.hypergraph.dist.gather_threshold = 64;
+        let s = Session::new(cfg)
+            .algorithm(Algorithm::ZoltanRepart)
+            .alpha(50.0)
+            .epochs(5)
+            .ranks(ranks)
+            .measured(true)
+            .fault_plan(FaultPlan::parse("7:rank1@2").unwrap())
+            .world_plan(WorldPlan::parse("7:join5@3,leave0@4").unwrap())
+            .workload_factory(|_| {
+                let d = Dataset::generate(DatasetKind::Cage14, 0.001, 7);
+                let initial = partition_kway(&d.graph, 4, &GraphConfig::seeded(7)).part;
+                EpochStream::new(d.graph, Perturbation::weights(), 4, initial, 7)
+            })
+            .run()
+            .unwrap();
+        assert_eq!(s.total_recoveries() + s.total_resizes(), 3);
+        s.reports
+            .iter()
+            .map(|r| {
+                let e = r.execution.as_ref().expect("measured run");
+                (r.cost.comm, r.cost.migration, r.moved, r.world_k, e.makespan())
+            })
+            .collect::<Vec<_>>()
+    };
+    for ranks in [2usize, 4] {
+        assert_eq!(run(ranks, true), run(ranks, false), "ranks={ranks}");
     }
 }

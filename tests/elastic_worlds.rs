@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use dlb::amr::{AmrConfig, AmrStream};
 use dlb::core::{
     Algorithm, AuditLedger, AuditedSource, FaultPlan, RepartConfig, Session, SimulationSummary,
-    WorldPlan,
+    TransitionCause, WorldPlan,
 };
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::workloads::{AmrSource, Dataset, DatasetKind, EpochStream, Perturbation};
@@ -74,19 +74,21 @@ fn planned_grow_populates_the_joiner() {
     assert_eq!(s.world_timeline(), vec![(1, 4), (2, 5), (3, 5), (4, 5)]);
 
     let r = &s.reports[1]; // epoch 2
-    assert_eq!(r.resizes.len(), 1);
-    let rec = &r.resizes[0];
+    assert_eq!(r.transitions.len(), 1);
+    let rec = &r.transitions[0];
+    assert_eq!(rec.cause, TransitionCause::Planned);
     assert_eq!(rec.epoch, 2);
     assert_eq!(rec.joined, vec![4]);
     assert!(rec.departed.is_empty());
     assert_eq!((rec.k_before, rec.k_after), (4, 5));
-    assert!(rec.repart_cost > 0.0 && rec.scratch_cost > 0.0, "both candidates were priced");
+    let a = rec.arbitration.expect("planned resizes arbitrate");
+    assert!(a.repart_cost > 0.0 && a.scratch_cost > 0.0, "both candidates were priced");
     // Growth must actually use the spare: the next epoch's commit ran
     // on 5 parts, so balance over 5 pulls migration onto the joiner.
     assert!(rec.migration > 0.0, "vertices moved onto the joiner");
     assert_eq!(rec.t_mig, r.execution.as_ref().unwrap().t_mig, "single resize owns the t_mig");
     for other in [0usize, 2, 3] {
-        assert!(s.reports[other].resizes.is_empty());
+        assert!(s.reports[other].transitions.is_empty());
     }
 }
 
@@ -97,7 +99,7 @@ fn planned_shrink_evacuates_the_leaver() {
     assert_eq!(s.total_resizes(), 1);
     assert_eq!(s.surviving_k(), 3);
     assert_eq!(s.world_timeline(), vec![(1, 4), (2, 4), (3, 3), (4, 3)]);
-    let rec = &s.reports[2].resizes[0];
+    let rec = &s.reports[2].transitions[0];
     assert_eq!(rec.departed, vec![1]);
     assert_eq!((rec.k_before, rec.k_after), (4, 3));
     assert!(rec.migration > 0.0, "the leaver's vertices shipped out");
@@ -115,8 +117,10 @@ fn faults_and_resizes_compose_at_one_boundary() {
     assert_eq!(s.total_recoveries(), 1);
     assert_eq!(s.total_resizes(), 1);
     let r = &s.reports[1];
-    assert_eq!(r.recoveries[0].k_after, 3);
-    assert_eq!((r.resizes[0].k_before, r.resizes[0].k_after), (3, 4));
+    assert_eq!(r.transitions[0].cause, TransitionCause::Failure);
+    assert_eq!(r.transitions[0].k_after, 3);
+    assert_eq!(r.transitions[1].cause, TransitionCause::Planned);
+    assert_eq!((r.transitions[1].k_before, r.transitions[1].k_after), (3, 4));
     assert_eq!(r.world_k, 4);
     // A failed rank may be re-admitted by a later planned join.
     let faults = FaultPlan::parse("5:rank2@2").unwrap();
@@ -140,10 +144,11 @@ fn chained_resizes_are_reproducible_at_ranks_1_2_and_4() {
         assert_eq!(a.total_resizes(), 3, "ranks = {ranks}");
         assert_eq!(a.world_timeline(), vec![(1, 4), (2, 3), (3, 5), (4, 4), (5, 4)]);
         for (ra, rb) in a.reports.iter().zip(&b.reports) {
-            for (x, y) in ra.resizes.iter().zip(&rb.resizes) {
-                assert_eq!(x.choice, y.choice, "ranks = {ranks}");
-                assert_eq!(x.repart_cost, y.repart_cost, "ranks = {ranks}");
-                assert_eq!(x.scratch_cost, y.scratch_cost, "ranks = {ranks}");
+            for (x, y) in ra.transitions.iter().zip(&rb.transitions) {
+                let (ax, ay) = (x.arbitration.unwrap(), y.arbitration.unwrap());
+                assert_eq!(ax.choice, ay.choice, "ranks = {ranks}");
+                assert_eq!(ax.repart_cost, ay.repart_cost, "ranks = {ranks}");
+                assert_eq!(ax.scratch_cost, ay.scratch_cost, "ranks = {ranks}");
                 assert_eq!(x.migration, y.migration, "ranks = {ranks}");
             }
         }
@@ -185,7 +190,7 @@ fn resize_counters_reflect_the_plan() {
             2,
             "every resize records its arbitration"
         );
-        assert!(report.find("resize.epoch").is_some());
+        assert!(report.find("transition.epoch").is_some());
     }
 
     let (_, clean) = session(4, 2).run_traced().unwrap();

@@ -17,7 +17,9 @@
 //!    for the deterministic outputs — is bit-identical to no plan at
 //!    all. No extra collectives, no RNG draws on the fast path.
 
-use dlb::core::{Algorithm, FaultPlan, RepartConfig, Session, SimulationSummary};
+use dlb::core::{
+    Algorithm, FaultPlan, RepartConfig, Session, SimulationSummary, TransitionCause,
+};
 use dlb::graphpart::{partition_kway, GraphConfig};
 use dlb::workloads::{Dataset, DatasetKind, EpochStream, Perturbation};
 
@@ -65,13 +67,15 @@ fn injected_failure_recovers_onto_survivors() {
     assert_eq!(s.surviving_k(), 3);
 
     let r = &s.reports[1]; // epoch 2
-    assert_eq!(r.recoveries.len(), 1);
-    let rec = &r.recoveries[0];
-    assert_eq!(rec.failed_rank, 2);
+    assert_eq!(r.transitions.len(), 1);
+    let rec = &r.transitions[0];
+    assert_eq!(rec.cause, TransitionCause::Failure);
+    assert_eq!(rec.arbitration, None);
+    assert_eq!(rec.departed, [2]);
     assert_eq!(rec.epoch, 2);
     assert_eq!(rec.k_before, 4);
     assert_eq!(rec.k_after, 3);
-    assert!(rec.orphans > 0, "the dead rank owned vertices");
+    assert!(rec.evacuated > 0, "the dead rank owned vertices");
     assert!(rec.migration > 0.0);
     // The recovery exchange lands in the measured makespan.
     let e = r.execution.as_ref().unwrap();
@@ -83,7 +87,7 @@ fn injected_failure_recovers_onto_survivors() {
     );
     // Fault-free epochs report no recoveries.
     for other in [0usize, 2, 3] {
-        assert!(s.reports[other].recoveries.is_empty());
+        assert!(s.reports[other].transitions.is_empty());
     }
 }
 
@@ -93,9 +97,9 @@ fn two_failures_shrink_the_world_twice() {
     let s = session(4, 4).fault_plan(plan).run().unwrap();
     assert_eq!(s.total_recoveries(), 2);
     assert_eq!(s.surviving_k(), 2);
-    assert_eq!(s.reports[1].recoveries[0].k_after, 3);
-    let second = &s.reports[2].recoveries[0];
-    assert_eq!(second.failed_rank, 3);
+    assert_eq!(s.reports[1].transitions[0].k_after, 3);
+    let second = &s.reports[2].transitions[0];
+    assert_eq!(second.departed, [3]);
     assert_eq!(second.k_before, 3);
     assert_eq!(second.k_after, 2);
     // A rank that already died is not recovered twice.
@@ -122,8 +126,8 @@ fn recovery_is_reproducible_at_ranks_2_and_4() {
         assert_eq!(fingerprint(&a), fingerprint(&b), "ranks = {ranks}");
         assert_eq!(a.total_recoveries(), 1, "ranks = {ranks}");
         assert_eq!(b.total_recoveries(), 1);
-        let (ra, rb) = (&a.reports[1].recoveries[0], &b.reports[1].recoveries[0]);
-        assert_eq!(ra.orphans, rb.orphans, "ranks = {ranks}");
+        let (ra, rb) = (&a.reports[1].transitions[0], &b.reports[1].transitions[0]);
+        assert_eq!(ra.evacuated, rb.evacuated, "ranks = {ranks}");
         assert_eq!(ra.migration, rb.migration, "ranks = {ranks}");
         assert_eq!(ra.t_mig, rb.t_mig, "ranks = {ranks}");
         assert_eq!((ra.k_before, ra.k_after), (4, 3));
