@@ -89,8 +89,8 @@ impl AmrConfig {
     pub fn for_scale(scale: u8) -> Self {
         let d = Self::default();
         AmrConfig {
-            base_level: (d.base_level + scale).min(12),
-            max_level: (d.max_level + scale).min(15),
+            base_level: d.base_level.saturating_add(scale).min(12),
+            max_level: d.max_level.saturating_add(scale).min(15),
             ..d
         }
     }
@@ -145,6 +145,15 @@ mod tests {
         AmrConfig::default().validate().unwrap();
         AmrConfig::small().validate().unwrap();
         AmrConfig::for_scale(2).validate().unwrap();
+    }
+
+    #[test]
+    fn for_scale_clamps_without_wrapping() {
+        for scale in [8, 250, u8::MAX] {
+            let c = AmrConfig::for_scale(scale);
+            assert_eq!((c.base_level, c.max_level), (12, 15), "scale {scale}");
+            c.validate().unwrap();
+        }
     }
 
     #[test]

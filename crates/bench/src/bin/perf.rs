@@ -55,7 +55,6 @@ use dlb_partitioner::coarsen::coarsen_to_threads;
 use dlb_partitioner::config::PartTargets;
 use dlb_partitioner::matching::ipm_matching_threads;
 use dlb_partitioner::par::dist::dist_multilevel_stats;
-use dlb_partitioner::par::driver::par_multilevel;
 use dlb_partitioner::refine::PartitionState;
 use dlb_partitioner::{
     partition_hypergraph, refine_partition_fixed, targets_for, Config, Determinism,
@@ -531,13 +530,14 @@ fn main() {
     let targets = PartTargets::uniform(h.total_vertex_weight(), k, 0.05);
     let mut dist_cfg = Config::seeded(seed);
     dist_cfg.threads = 1;
+    let repl_cfg = dist_cfg.clone();
     dist_cfg.dist.distributed = true;
     let mut dist_runs: Vec<DistRun> = Vec::new();
     for &ranks in &RANK_COUNTS {
         eprintln!("distributed V-cycle on {ranks} simulated rank(s) ...");
         let repl_parts = run_spmd(ranks, |comm| {
             let mut rng = StdRng::seed_from_u64(seed);
-            par_multilevel(comm, &h, &targets, &fixed, &dist_cfg, &mut rng)
+            dist_multilevel_stats(comm, &h, &targets, &fixed, &repl_cfg, &mut rng).0
         });
         let dist_results = run_spmd(ranks, |comm| {
             let mut rng = StdRng::seed_from_u64(seed);

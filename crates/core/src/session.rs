@@ -377,8 +377,8 @@ impl<'a> Session<'a> {
     }
 
     fn execute(mut self) -> Result<SimulationSummary, SessionError> {
-        // The SPMD drivers (including the distributed one, which is
-        // collective even at one rank) move sources across threads, so
+        // SPMD runs (including distributed ones, which are collective
+        // even at one rank) move sources across threads, so
         // they require a factory; a borrowed source runs the serial
         // driver.
         if let Some(factory) = self.factory.take() {

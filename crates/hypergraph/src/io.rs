@@ -83,7 +83,8 @@ pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
 /// Both `pattern` and numeric value entries are accepted (values are used
 /// as edge weights; `pattern` entries get weight 1). Diagonal entries are
 /// dropped; the structure is symmetrized. Only square matrices are
-/// accepted, matching the paper's symmetric test problems.
+/// accepted, matching the paper's symmetric test problems. A size line
+/// that declares an entry count must match the entry lines that follow.
 pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut lines = r.lines().map_while(Result::ok);
@@ -111,11 +112,13 @@ pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
     }
 
     let mut b = GraphBuilder::new(rows);
+    let mut entries = 0usize;
     for line in lines {
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
+        entries += 1;
         let toks: Vec<&str> = t.split_whitespace().collect();
         if toks.len() < 2 {
             return Err(bad("bad entry line"));
@@ -134,6 +137,13 @@ pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
             1.0
         };
         b.add_edge(i - 1, j - 1, w);
+    }
+    if let Some(&declared) = dims.get(2) {
+        if entries != declared {
+            return Err(bad(&format!(
+                "size line declares {declared} entries, file holds {entries}"
+            )));
+        }
     }
     Ok(b.build())
 }
@@ -186,6 +196,17 @@ mod tests {
         let g = read_matrix_market_graph(Cursor::new(text)).unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weights(0), &[2.0]);
+    }
+
+    #[test]
+    fn matrix_market_rejects_entry_count_mismatch() {
+        for text in ["3 3 9\n1 2\n", "3 3 1\n1 2\n2 3\n"] {
+            let err = read_matrix_market_graph(Cursor::new(text)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("declares"), "{err}");
+        }
+        // Diagonal entries count toward the declared total.
+        assert!(read_matrix_market_graph(Cursor::new("2 2 2\n1 1\n1 2\n")).is_ok());
     }
 
     #[test]

@@ -108,10 +108,6 @@ pub struct RefinementConfig {
     /// Stop a pass after this many consecutive non-improving moves
     /// (limits tail wandering; `0` disables the limit).
     pub max_negative_streak: usize,
-    /// Objective the FM gains optimize. The paper uses connectivity-1
-    /// (Eq. (2)), which models true communication volume; cut-net is
-    /// offered for VLSI-style workloads (PaToH supports both).
-    pub metric: dlb_hypergraph::metrics::CutMetric,
 }
 
 impl Default for RefinementConfig {
@@ -119,7 +115,6 @@ impl Default for RefinementConfig {
         RefinementConfig {
             max_passes: 4,
             max_negative_streak: 200,
-            metric: dlb_hypergraph::metrics::CutMetric::Connectivity,
         }
     }
 }
@@ -127,16 +122,17 @@ impl Default for RefinementConfig {
 /// Distributed-memory execution parameters (DESIGN.md §9).
 #[derive(Clone, Debug)]
 pub struct DistConfig {
-    /// Route the parallel V-cycle through the memory-scalable
-    /// distributed driver: pin storage is block-distributed across
-    /// ranks (owner/ghost layout) instead of replicated. Results are
-    /// bit-identical to the replicated driver at any rank count.
+    /// Hold the parallel V-cycle's large levels in distributed form:
+    /// pin storage is block-distributed across ranks (owner/ghost
+    /// layout) instead of replicated. When off, the same V-cycle keeps
+    /// every level replicated (no level is distributed). Results are
+    /// bit-identical either way at any rank count.
     pub distributed: bool,
-    /// Once the (distributed) hypergraph has at most this many
-    /// vertices, it is gathered onto every rank and the remaining
-    /// levels run the replicated code paths. Coarse hypergraphs are
-    /// small, so this trades negligible memory for cheaper, local
-    /// coarse-level work.
+    /// With [`Self::distributed`] on: once the hypergraph has at most
+    /// this many vertices, it is gathered onto every rank and the
+    /// remaining levels run the replicated code paths. Coarse
+    /// hypergraphs are small, so this trades negligible memory for
+    /// cheaper, local coarse-level work.
     pub gather_threshold: usize,
     /// Simulated SPMD ranks for drivers that spawn their own world
     /// (e.g. the CLI). `1` = serial. Library entry points that take a
@@ -166,7 +162,7 @@ pub struct Config {
     /// constraint `c`. Targets become proportional to the capacity
     /// column instead of uniform. `None` (the default) keeps uniform
     /// targets. Honored by the serial recursive-bisection and
-    /// direct-k-way drivers; the SPMD drivers support auxiliary
+    /// direct-k-way drivers; the SPMD V-cycle supports auxiliary
     /// epsilons but not per-part capacities.
     pub part_capacities: Option<Vec<Vec<f64>>>,
     /// RNG seed; equal seeds give identical partitions.
@@ -448,14 +444,14 @@ impl ConfigBuilder {
         self
     }
 
-    /// Route through the memory-scalable distributed driver
+    /// Distribute the V-cycle's large levels across ranks
     /// ([`DistConfig::distributed`]).
     pub fn distributed(mut self, on: bool) -> Self {
         self.cfg.dist.distributed = on;
         self
     }
 
-    /// Replication threshold of the distributed driver
+    /// Replication threshold of the distributed levels
     /// ([`DistConfig::gather_threshold`]).
     pub fn gather_threshold(mut self, gather_threshold: usize) -> Self {
         self.cfg.dist.gather_threshold = gather_threshold;

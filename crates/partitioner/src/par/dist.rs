@@ -1,8 +1,12 @@
-//! Memory-scalable distributed V-cycle over [`dlb_disthg`].
+//! The SPMD multilevel V-cycle ([`dist_multilevel`]), with its large
+//! levels optionally held in memory-scalable distributed form over
+//! [`dlb_disthg`].
 //!
-//! The replicated SPMD driver ([`super::driver::par_multilevel`]) keeps
-//! the whole hypergraph on every rank; this module runs the same
-//! V-cycle with **owner-computes** storage: each net's full pin list
+//! Every level of the cycle is held one of two ways. A *replicated*
+//! level keeps the whole hypergraph on every rank and runs the
+//! replicated kernels ([`par_ipm_matching_threads`],
+//! [`contract_threads`], [`par_refine`]). A *distributed* level uses
+//! **owner-computes** storage: each net's full pin list
 //! lives only on its owner rank, other pin-owning ranks hold compact
 //! stubs, and every per-vertex array — partition vector, primary and
 //! auxiliary loads, vertex sizes, fixed assignments, and the
@@ -14,7 +18,9 @@
 //! DESIGN.md §17). Per-rank residency is `O((n + |pins|)/p + halo)`
 //! with no term proportional to the global instance.
 //!
-//! Bit-identity with the replicated driver is preserved:
+//! With `cfg.dist.distributed` off no level is distributed, so the
+//! cycle is the replicated SPMD driver. With it on, the distributed
+//! kernels reproduce the replicated ones bit for bit:
 //!
 //! * **Matching** — a stub stores this rank's own pins *in net order*,
 //!   so per-candidate scoring sweeps exactly the elements the
@@ -38,8 +44,9 @@
 //!   rank through the proposal payloads.
 //!
 //! Once the current level has at most `cfg.dist.gather_threshold`
-//! vertices it is gathered onto every rank and the remaining levels run
-//! the replicated code paths verbatim (coarse hypergraphs are tiny).
+//! vertices it is gathered onto every rank and the remaining levels are
+//! replicated (coarse hypergraphs are tiny). The FM gain rule itself
+//! lives once, in [`crate::refine`], shared by both level kinds.
 
 use std::collections::{HashMap, HashSet};
 
@@ -56,7 +63,7 @@ use crate::fixed::FixedAssignment;
 use crate::initial::{initial_partition, score};
 use crate::par::matching::{draw_candidates, par_ipm_matching_threads, Proposal, MAX_ROUNDS};
 use crate::par::refine::{accepts_proposal, accepts_revalidated, par_refine};
-use crate::refine::{refine_threads, RefineScratch};
+use crate::refine::{km1_best_move, km1_gain, refine_threads, MoveScratch, RefineScratch};
 
 /// Per-rank memory/communication figures of one distributed V-cycle.
 #[derive(Clone, Copy, Debug, Default)]
@@ -654,20 +661,6 @@ fn dist_contract(
     (coarse, f2c)
 }
 
-/// Mirror of `MoveScratch` (its fields are private to `refine`).
-struct DistMoveScratch {
-    mark: Vec<u64>,
-    present: Vec<f64>,
-    cands: Vec<usize>,
-    stamp: u64,
-}
-
-impl DistMoveScratch {
-    fn new(k: usize) -> Self {
-        DistMoveScratch { mark: vec![0; k], present: vec![0.0; k], cands: Vec::new(), stamp: 0 }
-    }
-}
-
 /// Replicated part-weight vectors from distributed per-vertex data
 /// (collective). The scalar column folds on the global `DEFAULT_CHUNK`
 /// grid — bitwise identical to `PartitionState::new`'s partial-then-
@@ -843,74 +836,32 @@ impl<'a> DistState<'a> {
     /// nets are all local and their rows are globally exact, so this
     /// equals `PartitionState::gain`).
     fn gain(&self, v: usize, q: PartId) -> f64 {
+        let dh = &self.level.dh;
         let p = self.part[v - self.my_start()];
-        if p == q {
-            return 0.0;
-        }
-        let mut g = 0.0;
-        for &lj in self.level.dh.vertex_local_nets(v) {
-            let c = self.level.dh.net_cost(lj);
-            if self.sigma(lj, p) == 1 {
-                g += c;
-            }
-            if self.sigma(lj, q) == 0 {
-                g -= c;
-            }
-        }
-        g
+        km1_gain(&self.sigma, self.k, dh.vertex_local_nets(v), |lj| dh.net_cost(lj), p, q)
     }
 
-    /// Mirror of `PartitionState::best_move` for an owned vertex.
+    /// `PartitionState::best_move` for an owned vertex.
     fn best_move(
         &self,
         v: usize,
         targets: &PartTargets,
-        scratch: &mut DistMoveScratch,
+        scratch: &mut MoveScratch,
     ) -> Option<(PartId, f64)> {
+        let dh = &self.level.dh;
         let off = v - self.my_start();
-        let p = self.part[off];
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-
-        let mut base = 0.0;
-        let mut total = 0.0;
-        for &lj in self.level.dh.vertex_local_nets(v) {
-            let c = self.level.dh.net_cost(lj);
-            total += c;
-            if self.sigma(lj, p) == 1 {
-                base += c;
-            }
-            for q in 0..self.k {
-                if q != p && self.sigma(lj, q) > 0 {
-                    if scratch.mark[q] != stamp {
-                        scratch.mark[q] = stamp;
-                        scratch.present[q] = 0.0;
-                        scratch.cands.push(q);
-                    }
-                    scratch.present[q] += c;
-                }
-            }
-        }
-
-        let w = self.level.dh.owned_weights()[off];
-        let mut best: Option<(PartId, f64)> = None;
-        for &q in &scratch.cands {
-            if self.weights[q] + w > targets.cap(q) || !self.aux_fits(off, q, targets) {
-                continue;
-            }
-            let gain = base - (total - scratch.present[q]);
-            match best {
-                Some((bq, bg)) => {
-                    if gain > bg + 1e-12 || (gain > bg - 1e-12 && self.weights[q] < self.weights[bq])
-                    {
-                        best = Some((q, gain));
-                    }
-                }
-                None => best = Some((q, gain)),
-            }
-        }
-        scratch.cands.clear();
-        best
+        km1_best_move(
+            &self.sigma,
+            self.k,
+            dh.vertex_local_nets(v),
+            |lj| dh.net_cost(lj),
+            self.part[off],
+            dh.owned_weights()[off],
+            &self.weights,
+            targets,
+            |q| self.aux_fits(off, q, targets),
+            scratch,
+        )
     }
 
     /// Owned boundary vertices, ascending — the replicated boundary
@@ -1059,7 +1010,7 @@ fn dist_rebalance(
     state: &mut DistState<'_>,
     halo: &mut GhostHalo<PartId>,
     targets: &PartTargets,
-    scratch: &mut DistMoveScratch,
+    scratch: &mut MoveScratch,
 ) {
     dlb_trace::count(dlb_trace::Counter::RebalanceInvocations, 1);
     let k = state.k;
@@ -1175,7 +1126,7 @@ fn dist_pass(
 
     let my_moves: Vec<MoveProp> = {
         let mut private = state.private_copy(comm);
-        let mut scratch = DistMoveScratch::new(targets.k());
+        let mut scratch = MoveScratch::new(targets.k());
         let mut boundary: Vec<usize> = private
             .owned_boundary()
             .into_iter()
@@ -1265,7 +1216,7 @@ fn dist_refine(
     }
     let mut halo = GhostHalo::new(GhostExchange::build(comm, &level.dh), level.dh.my_range().len());
     let mut state = DistState::new(comm, &mut halo, level, k, std::mem::take(part_owned));
-    let mut scratch = DistMoveScratch::new(k);
+    let mut scratch = MoveScratch::new(k);
     dist_rebalance(comm, &mut state, &mut halo, targets, &mut scratch);
     for _ in 0..cfg.max_passes {
         let moved = dist_pass(comm, &mut state, &mut halo, targets, rng);
@@ -1354,7 +1305,36 @@ fn project_to_fine(
         .collect()
 }
 
-/// Distributed mirror of `record_committed_moves`: each rank diffs only
+/// Attaches this rank's [`CommStats`](dlb_mpisim::CommStats) deltas for
+/// a traced region to its span (inert off the recording rank). The
+/// ledger is rank 0's view.
+fn attr_comm_delta(
+    span: &dlb_trace::SpanGuard,
+    before: dlb_mpisim::CommStats,
+    after: dlb_mpisim::CommStats,
+) {
+    span.attr("msgs_sent", after.messages_sent - before.messages_sent);
+    span.attr("msgs_recv", after.messages_received - before.messages_received);
+    span.attr("bytes_sent", after.bytes_sent - before.bytes_sent);
+    span.attr("bytes_recv", after.bytes_received - before.bytes_received);
+}
+
+/// Records the number of vertices a replicated refinement level actually
+/// moved (an outcome diff, so the value is identical at any rank count —
+/// partitions are bit-identical) as both a span attribute and the
+/// [`ParRefineMovesCommitted`](dlb_trace::Counter) counter.
+fn record_committed_moves(
+    span: &dlb_trace::SpanGuard,
+    before: Option<&[PartId]>,
+    after: &[PartId],
+) {
+    let Some(before) = before else { return };
+    let moved = before.iter().zip(after).filter(|(a, b)| a != b).count() as u64;
+    span.attr("moves_committed", moved);
+    dlb_trace::count(dlb_trace::Counter::ParRefineMovesCommitted, moved);
+}
+
+/// Distributed mirror of [`record_committed_moves`]: each rank diffs only
 /// its owned slice, so the global count is an allreduce sum
 /// (collective whenever a trace session is active anywhere in the
 /// process — gated on `dlb_trace::session_active()`, not the per-thread
@@ -1372,9 +1352,12 @@ fn record_committed_moves_owned(
     dlb_trace::count(dlb_trace::Counter::ParRefineMovesCommitted, moved);
 }
 
-/// One distributed multilevel V-cycle. Collective; every rank returns
-/// the identical assignment — bit-identical to
-/// [`super::driver::par_multilevel`] at the same rank count.
+/// The parallel multilevel V-cycle (Section 4). Collective; every rank
+/// returns the identical assignment. With `cfg.dist.distributed` the
+/// levels above `cfg.dist.gather_threshold` vertices are held in
+/// distributed form; without it no level is, and the cycle runs the
+/// replicated kernels throughout. The assignment is bit-identical
+/// either way at the same rank count.
 pub fn dist_multilevel(
     comm: &mut Comm,
     h: &Hypergraph,
@@ -1407,13 +1390,16 @@ pub fn dist_multilevel_stats(
     let mut scratch = RefineScratch::new();
     let coarse_target =
         (cfg.coarsening.coarse_to_factor * k).max(cfg.coarsening.min_coarse_vertices);
-    let gather_threshold = cfg.dist.gather_threshold;
+    // Replicated mode: an unbounded threshold distributes no level.
+    let gather_threshold =
+        if cfg.dist.distributed { cfg.dist.gather_threshold } else { usize::MAX };
     let ml_span = dlb_trace::span!(
         "dist.multilevel",
         vertices = h.num_vertices(),
         k = k,
         ranks = comm.size(),
-        gather_threshold = gather_threshold,
+        distributed = cfg.dist.distributed,
+        gather_threshold = if cfg.dist.distributed { gather_threshold as i64 } else { -1 },
     );
 
     // --- Coarsening: distributed while large, replicated once small. ---
@@ -1431,7 +1417,8 @@ pub fn dist_multilevel_stats(
 
     enum Step {
         Gather(Hypergraph, FixedAssignment, usize),
-        Push(Level),
+        /// A contracted level and its number of contracted pairs.
+        Push(Level, usize),
         Stop,
     }
     loop {
@@ -1440,6 +1427,7 @@ pub fn dist_multilevel_stats(
         let step = {
             let view = current_view(h, fixed, &finest_dist, &levels, &gathered);
             let before = view.num_vertices();
+            span.attr("vertices", before);
             if before <= coarse_target || levels.len() >= cfg.coarsening.max_levels {
                 Step::Stop
             } else {
@@ -1457,7 +1445,7 @@ pub fn dist_multilevel_stats(
                         } else {
                             let (coarse, fine_to_coarse) = dist_contract(comm, d, &matching);
                             stats.observe(&coarse);
-                            Step::Push(Level::Dist(coarse, fine_to_coarse))
+                            Step::Push(Level::Dist(coarse, fine_to_coarse), before - after)
                         }
                     }
                     View::Repl(ch, cf) => {
@@ -1469,21 +1457,24 @@ pub fn dist_multilevel_stats(
                         {
                             Step::Stop
                         } else {
-                            Step::Push(Level::Repl(contract_threads(ch, &matching, cf, threads)))
+                            let level = contract_threads(ch, &matching, cf, threads);
+                            Step::Push(Level::Repl(level), before - after)
                         }
                     }
                 }
             }
         };
-        crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+        attr_comm_delta(&span, stats_before, comm.stats());
         match step {
             Step::Gather(gh, gf, n) => {
                 span.attr("gathered", true);
                 stats.gathered_vertices = n;
                 gathered = Some((gh, gf));
             }
-            Step::Push(level) => {
+            Step::Push(level, matches) => {
+                span.attr("matches", matches);
                 dlb_trace::count(dlb_trace::Counter::CoarsenLevels, 1);
+                dlb_trace::count(dlb_trace::Counter::CoarsenMatchesAccepted, matches as u64);
                 gathered = None;
                 levels.push(level);
             }
@@ -1500,7 +1491,8 @@ pub fn dist_multilevel_stats(
         }
     }
 
-    // --- Coarse partitioning: identical to the replicated driver. ---
+    // --- Coarse partitioning: one randomized attempt per rank (plus the
+    // configured serial attempts), globally best wins (Section 4.2). ---
     let (coarsest_h, coarsest_fixed): (&Hypergraph, &FixedAssignment) =
         match current_view(h, fixed, &finest_dist, &levels, &gathered) {
             View::Repl(ch, cf) => (ch, cf),
@@ -1540,7 +1532,7 @@ pub fn dist_multilevel_stats(
         }
     });
     let mut part = PartRep::Full(comm.broadcast(winner, my_part));
-    crate::par::driver::attr_comm_delta(&init_span, init_stats, comm.stats());
+    attr_comm_delta(&init_span, init_stats, comm.stats());
     drop(init_span);
 
     // --- Uncoarsening: refine in whichever form each level is held. ---
@@ -1557,8 +1549,8 @@ pub fn dist_multilevel_stats(
                 };
                 let before_part = dlb_trace::enabled().then(|| full.clone());
                 par_refine(comm, &l.coarse, targets, &l.coarse_fixed, full, &cfg.refinement, rng);
-                crate::par::driver::record_committed_moves(&span, before_part.as_deref(), full);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                record_committed_moves(&span, before_part.as_deref(), full);
+                attr_comm_delta(&span, stats_before, comm.stats());
                 drop(span);
                 let mut finer = vec![0usize; l.fine_to_coarse.len()];
                 for (v, &c) in l.fine_to_coarse.iter().enumerate() {
@@ -1575,7 +1567,7 @@ pub fn dist_multilevel_stats(
                 let before_part = dlb_trace::session_active().then(|| owned_part.clone());
                 dist_refine(comm, d, targets, &mut owned_part, &cfg.refinement, rng);
                 record_committed_moves_owned(comm, &span, before_part.as_deref(), &owned_part);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                attr_comm_delta(&span, stats_before, comm.stats());
                 drop(span);
                 // `d` is the *coarse* level of this projection step:
                 // the finer level's owned f2c entries point into `d`'s
@@ -1602,7 +1594,7 @@ pub fn dist_multilevel_stats(
                 let before_part = dlb_trace::session_active().then(|| owned_part.clone());
                 dist_refine(comm, d, targets, &mut owned_part, &cfg.refinement, rng);
                 record_committed_moves_owned(comm, &span, before_part.as_deref(), &owned_part);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                attr_comm_delta(&span, stats_before, comm.stats());
                 // The public contract returns the full assignment on
                 // every rank.
                 comm.allgather(owned_part).into_iter().flatten().collect()
@@ -1613,8 +1605,8 @@ pub fn dist_multilevel_stats(
                 };
                 let before_part = dlb_trace::enabled().then(|| full.clone());
                 par_refine(comm, h, targets, fixed, &mut full, &cfg.refinement, rng);
-                crate::par::driver::record_committed_moves(&span, before_part.as_deref(), &full);
-                crate::par::driver::attr_comm_delta(&span, stats_before, comm.stats());
+                record_committed_moves(&span, before_part.as_deref(), &full);
+                attr_comm_delta(&span, stats_before, comm.stats());
                 full
             }
         }
@@ -1635,6 +1627,35 @@ mod tests {
         cfg
     }
 
+    /// `cfg` with distribution switched off: the replicated oracle the
+    /// distributed runs are compared against.
+    fn replicated(cfg: &Config) -> Config {
+        let mut cfg = cfg.clone();
+        cfg.dist.distributed = false;
+        cfg
+    }
+
+    #[test]
+    fn replicated_bisection_quality() {
+        let h = crate::tests::grid_hypergraph(14, 14);
+        let targets = PartTargets::uniform(h.total_vertex_weight(), 2, 0.05);
+        let fixed = FixedAssignment::free(h.num_vertices());
+        let cfg = Config::seeded(17);
+        let results = run_spmd(4, |comm| {
+            let mut rng = StdRng::seed_from_u64(1);
+            dist_multilevel_stats(comm, &h, &targets, &fixed, &cfg, &mut rng)
+        });
+        for (r, stats) in &results {
+            assert_eq!(*r, results[0].0);
+            assert_eq!(stats.dist_levels, 0, "replicated mode distributed a level");
+        }
+        let part = &results[0].0;
+        let cut = dlb_hypergraph::metrics::cutsize_connectivity(&h, part, 2);
+        // Ideal vertical split of a 14x14 grid cuts 14 edges.
+        assert!(cut <= 32.0, "cut {cut}");
+        assert!(dlb_hypergraph::metrics::imbalance(&h, part, 2) <= 1.06);
+    }
+
     /// The distributed V-cycle must be bit-identical to the replicated
     /// driver at the same rank count, for every rank count.
     #[test]
@@ -1644,9 +1665,10 @@ mod tests {
         let fixed = FixedAssignment::free(h.num_vertices());
         for ranks in [1usize, 2, 4] {
             let cfg = dist_cfg(11, 60);
+            let repl_cfg = replicated(&cfg);
             let repl = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(2);
-                super::super::driver::par_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+                dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
             });
             let dist = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(2);
@@ -1673,9 +1695,10 @@ mod tests {
             for ranks in [1usize, 2, 3] {
                 let mut cfg = dist_cfg(7, 100);
                 cfg.coarsening.local_ipm = local_ipm;
+                let repl_cfg = replicated(&cfg);
                 let repl = run_spmd(ranks, |comm| {
                     let mut rng = StdRng::seed_from_u64(5);
-                    super::super::driver::par_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+                    dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
                 });
                 let dist = run_spmd(ranks, |comm| {
                     let mut rng = StdRng::seed_from_u64(5);
@@ -1739,8 +1762,8 @@ mod tests {
         );
     }
 
-    /// The `cfg.dist.distributed` flag routes the whole recursive
-    /// bisection stack through this driver with unchanged results.
+    /// Flipping `cfg.dist.distributed` under the whole recursive
+    /// bisection stack leaves the results unchanged.
     #[test]
     fn config_flag_routes_partition_identically() {
         let h = crate::tests::random_hypergraph(250, 500, 4, 31);
@@ -1771,10 +1794,11 @@ mod tests {
         let mut cfg = dist_cfg(17, 4);
         cfg.coarsening.min_coarse_vertices = 2;
         cfg.coarsening.coarse_to_factor = 1;
+        let repl_cfg = replicated(&cfg);
         for ranks in [13usize, 16] {
             let repl = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(6);
-                super::super::driver::par_multilevel(comm, &h, &targets, &fixed, &cfg, &mut rng)
+                dist_multilevel(comm, &h, &targets, &fixed, &repl_cfg, &mut rng)
             });
             let dist = run_spmd(ranks, |comm| {
                 let mut rng = StdRng::seed_from_u64(6);

@@ -37,7 +37,6 @@ pub(crate) fn accepts_revalidated(gain: f64, from_weight: f64, to_weight: f64, w
 
 /// Proposes moves for owned boundary vertices on a private state copy.
 fn propose_local_moves(
-    h: &Hypergraph,
     state: &mut PartitionState,
     targets: &PartTargets,
     fixed: &FixedAssignment,
@@ -60,7 +59,6 @@ fn propose_local_moves(
                 moves.push((v, to));
             }
         }
-        let _ = h; // structure is read through `state`
     }
     moves
 }
@@ -83,12 +81,11 @@ fn par_pass(
     let shared_draw: u64 = rng.gen();
     let mut my_rng =
         StdRng::seed_from_u64(shared_draw ^ (comm.rank() as u64).wrapping_mul(0xC0FF_EE00_1234_5678));
-    let my_moves = propose_local_moves(h, &mut private, targets, fixed, &my_range, &mut my_rng);
+    let my_moves = propose_local_moves(&mut private, targets, fixed, &my_range, &mut my_rng);
 
     // Exchange and apply deterministically (rank order, proposal order),
     // revalidating against the evolving shared state.
     let all_moves: Vec<Vec<Move>> = comm.allgather(my_moves);
-    let mut scratch = MoveScratch::new(targets.k());
     let mut applied = 0usize;
     for rank_moves in &all_moves {
         for &(v, to) in rank_moves {
@@ -106,7 +103,6 @@ fn par_pass(
             }
         }
     }
-    let _ = &mut scratch;
     applied
 }
 

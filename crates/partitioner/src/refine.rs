@@ -25,7 +25,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dlb_hypergraph::metrics::CutMetric;
 use dlb_hypergraph::{parallel, Hypergraph, PartId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -205,49 +204,8 @@ impl<'a> PartitionState<'a> {
 
     /// The gain (cut decrease) of moving `v` to `q` under the k-1 metric.
     pub fn gain(&self, v: usize, q: PartId) -> f64 {
-        let p = self.part[v];
-        if p == q {
-            return 0.0;
-        }
-        let mut g = 0.0;
-        for &j in self.h.vertex_nets(v) {
-            let c = self.h.net_cost(j);
-            if self.sigma(j, p) == 1 {
-                g += c;
-            }
-            if self.sigma(j, q) == 0 {
-                g -= c;
-            }
-        }
-        g
-    }
-
-    /// The gain of moving `v` to `q` under the chosen metric. For
-    /// [`CutMetric::CutNet`], a net only contributes when the move makes
-    /// it entirely internal to `q` (+cost) or splits a net that was
-    /// entirely internal to `p` (−cost).
-    pub fn gain_metric(&self, v: usize, q: PartId, metric: CutMetric) -> f64 {
-        match metric {
-            CutMetric::Connectivity => self.gain(v, q),
-            CutMetric::CutNet => {
-                let p = self.part[v];
-                if p == q {
-                    return 0.0;
-                }
-                let mut g = 0.0;
-                for &j in self.h.vertex_nets(v) {
-                    let size = self.h.net_size(j) as u32;
-                    let c = self.h.net_cost(j);
-                    if self.sigma(j, q) == size - 1 {
-                        g += c; // net becomes internal to q
-                    }
-                    if self.sigma(j, p) == size {
-                        g -= c; // net was internal to p; move cuts it
-                    }
-                }
-                g
-            }
-        }
+        let h = self.h;
+        km1_gain(&self.sigma, self.k, h.vertex_nets(v), |j| h.net_cost(j), self.part[v], q)
     }
 
     /// The best feasible move for `v`: the highest-gain target part among
@@ -260,97 +218,18 @@ impl<'a> PartitionState<'a> {
         targets: &PartTargets,
         scratch: &mut MoveScratch,
     ) -> Option<(PartId, f64)> {
-        let p = self.part[v];
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-
-        let mut base = 0.0; // gain component from leaving p
-        let mut total = 0.0;
-        for &j in self.h.vertex_nets(v) {
-            let c = self.h.net_cost(j);
-            total += c;
-            if self.sigma(j, p) == 1 {
-                base += c;
-            }
-            // Candidate targets: parts with pins on v's nets.
-            for q in 0..self.k {
-                if q != p && self.sigma(j, q) > 0 {
-                    if scratch.mark[q] != stamp {
-                        scratch.mark[q] = stamp;
-                        scratch.present[q] = 0.0;
-                        scratch.cands.push(q);
-                    }
-                    scratch.present[q] += c;
-                }
-            }
-        }
-
-        let w = self.h.vertex_weight(v);
-        let mut best: Option<(PartId, f64)> = None;
-        for &q in &scratch.cands {
-            if self.weights[q] + w > targets.cap(q) || !self.aux_fits(v, q, targets) {
-                continue;
-            }
-            let gain = base - (total - scratch.present[q]);
-            match best {
-                Some((bq, bg)) => {
-                    if gain > bg + 1e-12
-                        || (gain > bg - 1e-12 && self.weights[q] < self.weights[bq])
-                    {
-                        best = Some((q, gain));
-                    }
-                }
-                None => best = Some((q, gain)),
-            }
-        }
-        scratch.cands.clear();
-        best
-    }
-
-    /// [`Self::best_move`] under the chosen metric (the k-1 path uses the
-    /// specialized decomposition; cut-net evaluates candidates directly).
-    pub fn best_move_metric(
-        &self,
-        v: usize,
-        targets: &PartTargets,
-        metric: CutMetric,
-        scratch: &mut MoveScratch,
-    ) -> Option<(PartId, f64)> {
-        if metric == CutMetric::Connectivity {
-            return self.best_move(v, targets, scratch);
-        }
-        let p = self.part[v];
-        scratch.stamp += 1;
-        let stamp = scratch.stamp;
-        scratch.cands.clear();
-        for &j in self.h.vertex_nets(v) {
-            for q in 0..self.k {
-                if q != p && self.sigma(j, q) > 0 && scratch.mark[q] != stamp {
-                    scratch.mark[q] = stamp;
-                    scratch.cands.push(q);
-                }
-            }
-        }
-        let w = self.h.vertex_weight(v);
-        let mut best: Option<(PartId, f64)> = None;
-        for &q in &scratch.cands {
-            if self.weights[q] + w > targets.cap(q) || !self.aux_fits(v, q, targets) {
-                continue;
-            }
-            let gain = self.gain_metric(v, q, metric);
-            match best {
-                Some((bq, bg)) => {
-                    if gain > bg + 1e-12
-                        || (gain > bg - 1e-12 && self.weights[q] < self.weights[bq])
-                    {
-                        best = Some((q, gain));
-                    }
-                }
-                None => best = Some((q, gain)),
-            }
-        }
-        scratch.cands.clear();
-        best
+        km1_best_move(
+            &self.sigma,
+            self.k,
+            self.h.vertex_nets(v),
+            |j| self.h.net_cost(j),
+            self.part[v],
+            self.h.vertex_weight(v),
+            &self.weights,
+            targets,
+            |q| self.aux_fits(v, q, targets),
+            scratch,
+        )
     }
 
     /// Vertices on the cut boundary: incident to at least one net that
@@ -423,7 +302,8 @@ impl<'a> PartitionState<'a> {
     }
 }
 
-/// Reusable per-call scratch for [`PartitionState::best_move`].
+/// Reusable per-call scratch for [`km1_best_move`], shared by the
+/// replicated and the distributed refiners.
 pub struct MoveScratch {
     mark: Vec<u64>,
     present: Vec<f64>,
@@ -450,6 +330,99 @@ impl MoveScratch {
             self.present.resize(k, 0.0);
         }
     }
+}
+
+/// The k-1 gain of moving a vertex from part `p` to part `q`: the cut
+/// decrease `Σ_{n ∋ v} c_n·([σ(n,p)=1] − [σ(n,q)=0])` over the vertex's
+/// incident nets `nets`, read from the `k`-strided pin-count table
+/// `sigma`. Shared by [`PartitionState`] and the distributed refiner,
+/// which index nets differently but keep the same table layout.
+#[inline]
+pub(crate) fn km1_gain(
+    sigma: &[u32],
+    k: usize,
+    nets: &[usize],
+    cost: impl Fn(usize) -> f64,
+    p: PartId,
+    q: PartId,
+) -> f64 {
+    if p == q {
+        return 0.0;
+    }
+    let mut g = 0.0;
+    for &j in nets {
+        let c = cost(j);
+        if sigma[j * k + p] == 1 {
+            g += c;
+        }
+        if sigma[j * k + q] == 0 {
+            g -= c;
+        }
+    }
+    g
+}
+
+/// The best feasible k-1 move of a vertex in part `p` with weight `w`
+/// and incident nets `nets`: the highest-gain part among those the nets
+/// already touch (ties within 1e-12 → lighter part), skipping parts
+/// whose weight cap or `aux_fits` predicate rejects the vertex. One
+/// walk over the nets accumulates the leave term and, per candidate
+/// part, the cost of the nets already present there.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn km1_best_move(
+    sigma: &[u32],
+    k: usize,
+    nets: &[usize],
+    cost: impl Fn(usize) -> f64,
+    p: PartId,
+    w: f64,
+    weights: &[f64],
+    targets: &PartTargets,
+    aux_fits: impl Fn(PartId) -> bool,
+    scratch: &mut MoveScratch,
+) -> Option<(PartId, f64)> {
+    scratch.stamp += 1;
+    let stamp = scratch.stamp;
+
+    let mut base = 0.0; // gain component from leaving p
+    let mut total = 0.0;
+    for &j in nets {
+        let c = cost(j);
+        total += c;
+        if sigma[j * k + p] == 1 {
+            base += c;
+        }
+        // Candidate targets: parts with pins on the vertex's nets.
+        for q in 0..k {
+            if q != p && sigma[j * k + q] > 0 {
+                if scratch.mark[q] != stamp {
+                    scratch.mark[q] = stamp;
+                    scratch.present[q] = 0.0;
+                    scratch.cands.push(q);
+                }
+                scratch.present[q] += c;
+            }
+        }
+    }
+
+    let mut best: Option<(PartId, f64)> = None;
+    for &q in &scratch.cands {
+        if weights[q] + w > targets.cap(q) || !aux_fits(q) {
+            continue;
+        }
+        let gain = base - (total - scratch.present[q]);
+        match best {
+            Some((bq, bg)) => {
+                if gain > bg + 1e-12 || (gain > bg - 1e-12 && weights[q] < weights[bq]) {
+                    best = Some((q, gain));
+                }
+            }
+            None => best = Some((q, gain)),
+        }
+    }
+    scratch.cands.clear();
+    best
 }
 
 /// Allocation-reusing scratch for [`refine_threads`]: the move scratch,
@@ -890,7 +863,7 @@ fn fm_pass(
     state.boundary_vertices_into(&mut boundary);
     boundary.shuffle(rng);
     // Parallel gain seeding: the partition is frozen here, so
-    // `best_move_metric` is a pure function of (state, v) — computing
+    // `best_move` is a pure function of (state, v) — computing
     // seeds across workers (per-worker MoveScratch) and pushing them in
     // boundary order is bit-identical to the serial loop in both
     // determinism modes.
@@ -906,7 +879,7 @@ fn fm_pass(
                 if fixed.is_fixed(v) {
                     continue;
                 }
-                if let Some((to, gain)) = state_ref.best_move_metric(v, targets, cfg.metric, mv) {
+                if let Some((to, gain)) = state_ref.best_move(v, targets, mv) {
                     out.push((v, to, gain));
                 }
             }
@@ -930,7 +903,7 @@ fn fm_pass(
             continue;
         }
         // Lazy revalidation: the stored move may be stale.
-        let current = state.best_move_metric(c.v, targets, cfg.metric, &mut scratch.mv);
+        let current = state.best_move(c.v, targets, &mut scratch.mv);
         match current {
             None => continue,
             Some((to, gain)) => {
@@ -961,9 +934,7 @@ fn fm_pass(
                     }
                     for &w in state.h.net(j) {
                         if !scratch.locked[w] && !scratch.queued[w] && !fixed.is_fixed(w) {
-                            if let Some((to, gain)) =
-                                state.best_move_metric(w, targets, cfg.metric, &mut scratch.mv)
-                            {
+                            if let Some((to, gain)) = state.best_move(w, targets, &mut scratch.mv) {
                                 scratch.heap.push(Cand { gain, v: w, to });
                                 scratch.queued[w] = true;
                             }
@@ -1104,47 +1075,6 @@ mod tests {
                 state.apply(v, from);
             }
         }
-    }
-
-    #[test]
-    fn cutnet_gain_matches_recomputed_delta() {
-        use dlb_hypergraph::metrics::cutsize;
-        let h = crate::tests::random_hypergraph(25, 50, 5, 19);
-        let part: Vec<usize> = (0..25).map(|v| v % 3).collect();
-        let mut state = PartitionState::new(&h, 3, part);
-        for v in [0usize, 6, 12, 24] {
-            for q in 0..3 {
-                if q == state.part[v] {
-                    continue;
-                }
-                let before = cutsize(&h, &state.part, 3, CutMetric::CutNet);
-                let gain = state.gain_metric(v, q, CutMetric::CutNet);
-                let from = state.part[v];
-                state.apply(v, q);
-                let after = cutsize(&h, &state.part, 3, CutMetric::CutNet);
-                assert!(
-                    (before - after - gain).abs() < 1e-9,
-                    "v={v} q={q}: predicted {gain}, actual {}",
-                    before - after
-                );
-                state.apply(v, from);
-            }
-        }
-    }
-
-    #[test]
-    fn refine_with_cutnet_objective_improves_cutnet() {
-        use dlb_hypergraph::metrics::cutsize;
-        let h = crate::tests::grid_hypergraph(8, 8);
-        let mut part: Vec<usize> = (0..64).map(|v| v % 2).collect();
-        let before = cutsize(&h, &part, 2, CutMetric::CutNet);
-        let t = uniform_targets(&h, 2);
-        let fixed = FixedAssignment::free(64);
-        let cfg = RefinementConfig { metric: CutMetric::CutNet, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(8);
-        refine(&h, &t, &fixed, &mut part, &cfg, &mut rng);
-        let after = cutsize(&h, &part, 2, CutMetric::CutNet);
-        assert!(after < before, "cut-net {before} -> {after}");
     }
 
     #[test]

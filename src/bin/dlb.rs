@@ -26,16 +26,17 @@
 //!                     partitioner balances both at once
 //!   --seed N          RNG seed (default 0)
 //!   --ranks N         run the SPMD parallel partitioner on N simulated
-//!                     ranks (default 1 = serial)
+//!                     ranks (default 1 = serial); one V-cycle with every
+//!                     level replicated on all ranks
 //!   --threads N       shared-memory worker threads per rank (default 0 =
 //!                     auto: DLB_THREADS, then available parallelism; any
 //!                     value gives bit-identical partitions)
-//!   --distributed     with --ranks: owner-computes pin storage and
-//!                     block-distributed per-vertex arrays across ranks
-//!                     (memory-scalable V-cycle; results are
-//!                     bit-identical to the replicated driver). Rejected
-//!                     together with --incremental or --constraints > 1
-//!                     (exit 2)
+//!   --distributed     with --ranks: the same V-cycle holds its large
+//!                     levels distributed (owner-computes pin storage,
+//!                     block-distributed per-vertex arrays; memory-
+//!                     scalable). Results are bit-identical to the
+//!                     replicated run. Rejected together with
+//!                     --incremental or --constraints > 1 (exit 2)
 //!   --trace FILE      record a phase-level trace of the run and write it
 //!                     as chrome://tracing JSON (open in about:tracing or
 //!                     https://ui.perfetto.dev)
@@ -45,8 +46,9 @@
 //!                     perturbations of the auto dataset)
 //!   --epochs E        simulate only: epochs to run, >= 1 (default 4)
 //!   --scale S         simulate only: amr — levels added to the default
-//!                     mesh (integer, default 0); structure/weights —
-//!                     dataset scale in (0, 1] (default 0.001)
+//!                     mesh (whole number 0..=255, default 0);
+//!                     structure/weights — dataset scale in (0, 1]
+//!                     (default 0.001)
 //!   --fault-plan SPEC simulate only: deterministic fault injection,
 //!                     SPEC = "SEED:directive,..." with directives
 //!                     rankR@E (logical rank R dies at epoch E, recovered
@@ -82,8 +84,10 @@
 //! next to measured makespans.
 //!
 //! Invalid parameter combinations (`-k 1`, `--ranks 0`, malformed
-//! numbers) are rejected up front with a message on stderr and exit
-//! code 2, before any driver runs.
+//! numbers, a `-k` above the simulate workload's initial vertex count,
+//! fault/world plans that empty the world) and unparsable input files
+//! are rejected up front with a message on stderr and exit code 2,
+//! before any driver runs.
 
 use std::fs::File;
 use std::io::{BufReader, Write};
@@ -398,17 +402,13 @@ fn load(input: &str) -> (Hypergraph, CsrGraph) {
     });
     let reader = BufReader::new(file);
     if input.ends_with(".mtx") {
-        let graph = read_matrix_market_graph(reader).unwrap_or_else(|e| {
-            eprintln!("cannot parse {input}: {e}");
-            exit(1);
-        });
+        let graph = read_matrix_market_graph(reader)
+            .unwrap_or_else(|e| fail(format!("cannot parse {input}: {e}")));
         let hypergraph = column_net_model(&graph, |v| graph.vertex_size(v));
         (hypergraph, graph)
     } else if input.ends_with(".hg") {
-        let hypergraph = read_hypergraph(reader).unwrap_or_else(|e| {
-            eprintln!("cannot parse {input}: {e}");
-            exit(1);
-        });
+        let hypergraph =
+            read_hypergraph(reader).unwrap_or_else(|e| fail(format!("cannot parse {input}: {e}")));
         let graph = clique_expansion(&hypergraph);
         (hypergraph, graph)
     } else {
@@ -456,18 +456,38 @@ fn write_partition(out: &Option<String>, part: &[usize]) {
     }
 }
 
+fn amr_config(cli: &Cli) -> AmrConfig {
+    let mut amr_cfg = AmrConfig::for_scale(cli.scale.unwrap_or(0.0) as u8);
+    amr_cfg.multi_constraint = cli.constraints == 2;
+    if let Err(e) = amr_cfg.validate() {
+        eprintln!("bad AMR config: {e}");
+        exit(1);
+    }
+    amr_cfg
+}
+
+fn synthetic_dataset(cli: &Cli) -> Dataset {
+    Dataset::generate(DatasetKind::Auto, cli.scale.unwrap_or(0.001), cli.seed)
+}
+
+/// Vertices of the simulate workload's first epoch (one per AMR leaf
+/// cell), found without partitioning it. `None` for an unknown
+/// workload, which [`make_sim_source`] rejects.
+fn sim_initial_vertices(cli: &Cli) -> Option<usize> {
+    match cli.workload.as_deref() {
+        Some("amr") => Some(AmrStream::new(amr_config(cli), cli.k, cli.seed).mesh().num_leaves()),
+        Some("structure" | "weights") => Some(synthetic_dataset(cli).graph.num_vertices()),
+        _ => None,
+    }
+}
+
 /// Builds the simulate subcommand's epoch source: the workload's base
 /// problem plus the static initial partition. Deterministic in the CLI
 /// parameters, so every SPMD rank builds an identical copy.
 fn make_sim_source(cli: &Cli) -> Box<dyn EpochSource> {
     match cli.workload.as_deref() {
         Some("amr") => {
-            let mut amr_cfg = AmrConfig::for_scale(cli.scale.unwrap_or(0.0) as u8);
-            amr_cfg.multi_constraint = cli.constraints == 2;
-            if let Err(e) = amr_cfg.validate() {
-                eprintln!("bad AMR config: {e}");
-                exit(1);
-            }
+            let amr_cfg = amr_config(cli);
             let stream = AmrStream::new(amr_cfg, cli.k, cli.seed);
             let low = stream.initial_lowering();
             eprintln!(
@@ -485,8 +505,7 @@ fn make_sim_source(cli: &Cli) -> Box<dyn EpochSource> {
             } else {
                 Perturbation::weights()
             };
-            let dataset =
-                Dataset::generate(DatasetKind::Auto, cli.scale.unwrap_or(0.001), cli.seed);
+            let dataset = synthetic_dataset(cli);
             eprintln!("{name}: auto dataset, {} vertices", dataset.graph.num_vertices());
             let init =
                 partition_kway(&dataset.graph, cli.k, &GraphConfig::seeded(cli.seed)).part;
@@ -569,6 +588,15 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
             ));
         }
     }
+    if let (Some("amr"), Some(scale)) = (cli.workload.as_deref(), cli.scale) {
+        if !(0.0..=u8::MAX as f64).contains(&scale) || scale.fract() != 0.0 {
+            fail(format!(
+                "--scale for --workload amr must be a whole number of levels \
+                 in 0..={}, got {scale}",
+                u8::MAX
+            ));
+        }
+    }
     if cli.incremental && (cli.ranks > 1 || cli.distributed) {
         fail("--incremental is serial-only; drop --ranks/--distributed");
     }
@@ -610,13 +638,24 @@ fn run_simulate(cli: &Cli, hg_cfg: HgConfig) {
             }
         }
     }
-    if let Some(plan) = &cli.world_plan {
-        if cli.incremental {
-            fail("--world-plan is incompatible with --incremental");
-        }
+    if cli.world_plan.is_some() && cli.incremental {
+        fail("--world-plan is incompatible with --incremental");
+    }
+    // Failures alone can empty the world too, so the composed schedule
+    // is simulated whenever either plan is installed.
+    if cli.fault_plan.is_some() || cli.world_plan.is_some() {
+        let (plan, flag) = match &cli.world_plan {
+            Some(plan) => (plan.clone(), "--world-plan"),
+            None => (WorldPlan::new(0), "--fault-plan"),
+        };
         if let Err(e) = plan.validate(cli.k, cli.epochs, cli.fault_plan.as_ref()) {
-            fail(format!("bad --world-plan: {e}"));
+            fail(format!("bad {flag}: {e}"));
         }
+    }
+    // More parts than vertices is infeasible, and the dense per-part
+    // tables of the repartitioning model would grow with n × k first.
+    if let Some(n0) = sim_initial_vertices(cli).filter(|&n0| cli.k > n0) {
+        fail(format!("-k {} exceeds the workload's {n0} initial vertices", cli.k));
     }
     let build = |incremental: bool| {
         let mut session = Session::new(cfg.clone())

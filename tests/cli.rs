@@ -234,11 +234,35 @@ fn rejects_panicking_simulate_inputs_up_front() {
         (&["--workload", "weights", "--scale", "1.5"][..], "must be in (0, 1]"),
         (&["--workload", "amr", "--alpha", "-1"][..], "--alpha must be a positive number"),
         (&["--workload", "amr", "--alpha", "NaN"][..], "--alpha must be a positive number"),
+        // More parts than vertices: would allocate n × k tables first.
+        (&["-k", "100000", "--workload", "amr"][..], "exceeds the workload's"),
+        (&["-k", "100000", "--workload", "weights"][..], "exceeds the workload's"),
+        // AMR scales are mesh levels and must fit a u8 (300 as u8 is 44).
+        (&["--workload", "amr", "--scale", "300"][..], "whole number of levels"),
+        (&["--workload", "amr", "--scale", "1.5"][..], "whole number of levels"),
+        (&["--workload", "amr", "--scale", "-1"][..], "whole number of levels"),
+        // Failures alone that empty the world, with no --world-plan.
+        (
+            &["--workload", "amr", "--fault-plan", "1:rank0@1,rank1@1,rank2@2,rank3@2"][..],
+            "would empty the world",
+        ),
     ] {
-        let mut full = vec!["simulate", "-k", "4"];
+        let mut full = vec!["simulate"];
+        if !args.contains(&"-k") {
+            full.extend_from_slice(&["-k", "4"]);
+        }
         full.extend_from_slice(args);
         assert_rejected(&full, needle);
     }
+}
+
+#[test]
+fn rejects_matrix_market_entry_count_mismatch() {
+    let dir = tmpdir("short-mtx");
+    let path = dir.join("short.mtx");
+    std::fs::write(&path, "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 9\n1 2\n")
+        .unwrap();
+    assert_rejected(&["partition", "-k", "2", path.to_str().unwrap()], "declares 9 entries");
 }
 
 #[test]

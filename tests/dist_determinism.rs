@@ -1,8 +1,8 @@
-//! Regression test for the distributed-memory driver (DESIGN.md §9):
-//! with `cfg.hypergraph.dist.distributed` set, the memory-scalable
-//! V-cycle must produce the *bit-identical* partition — and therefore
-//! identical cost-model values — as the replicated SPMD driver at the
-//! same rank count, on cage-style workloads, for k ∈ {4, 8} and both
+//! Regression test for the distributed-memory levels (DESIGN.md §9):
+//! with `cfg.hypergraph.dist.distributed` set, the SPMD V-cycle must
+//! produce the *bit-identical* partition — and therefore identical
+//! cost-model values — as with the flag off (every level replicated) at
+//! the same rank count, on cage-style workloads, for k ∈ {4, 8} and both
 //! dynamics (structure and weight perturbations) — and through whole
 //! sessions whose world changes by failures and planned resizes.
 

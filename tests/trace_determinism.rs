@@ -65,9 +65,9 @@ fn counters_invariant_across_thread_counts() {
 
 /// Rank-family counters: at every rank count, a traced SPMD run is
 /// bit-reproducible (rerunning the identical configuration reproduces
-/// the identical counters and span structure), and the memory-scalable
-/// distributed driver agrees with the replicated driver on the
-/// partition at the same rank count. (Different rank counts legitimately
+/// the identical counters and span structure), and the V-cycle with
+/// distributed levels agrees with the all-replicated one on the
+/// partition and on every counter at the same rank count. (Different rank counts legitimately
 /// choose different partitions — the parallel matching block-distributes
 /// work and decorrelates per-rank RNG streams — so outcome-derived
 /// counters are compared within one rank count, not across.)
@@ -112,7 +112,7 @@ fn spmd_counters_reproduce_at_every_rank_count() {
         for (rank, part) in dist_parts.iter().enumerate() {
             assert_eq!(
                 *part, repl_parts[0],
-                "distributed rank {rank}/{ranks} diverged from the replicated driver"
+                "distributed rank {rank}/{ranks} diverged from the replicated run"
             );
         }
         let (dist_again, _) = run(ranks, true);
@@ -120,6 +120,12 @@ fn spmd_counters_reproduce_at_every_rank_count() {
             counters(&dist_again),
             counters(&dist_report),
             "distributed ranks={ranks} rerun changed counter values"
+        );
+        // Distributed levels count the same work as replicated ones.
+        assert_eq!(
+            counters(&dist_report),
+            counters(&repl_report),
+            "ranks={ranks}: distributed and replicated counters differ"
         );
     }
 }
