@@ -31,7 +31,21 @@ pub fn write_hypergraph<W: Write>(h: &Hypergraph, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a hypergraph written by [`write_hypergraph`].
+/// Parses a net cost, vertex weight or vertex size: a finite,
+/// non-negative number. `what` names the field in the error.
+fn parse_amount(tok: Option<&str>, what: &str) -> io::Result<f64> {
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let x: f64 = tok
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| bad(format!("bad {what}")))?;
+    if !x.is_finite() || x < 0.0 {
+        return Err(bad(format!("{what} {x} must be finite and non-negative")));
+    }
+    Ok(x)
+}
+
+/// Reads a hypergraph written by [`write_hypergraph`]. Net costs, vertex
+/// weights and vertex sizes must be finite and non-negative.
 pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut lines = r.lines();
@@ -50,10 +64,7 @@ pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
     for _ in 0..nn {
         let line = lines.next().ok_or_else(|| bad("missing net line"))??;
         let mut toks = line.split_whitespace();
-        let cost: f64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad net cost"))?;
+        let cost = parse_amount(toks.next(), "net cost")?;
         let pins: Result<Vec<usize>, _> = toks.map(|t| t.parse::<usize>()).collect();
         let pins = pins.map_err(|_| bad("bad pin index"))?;
         if pins.iter().any(|&p| p >= nv) {
@@ -64,14 +75,8 @@ pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
     for v in 0..nv {
         let line = lines.next().ok_or_else(|| bad("missing vertex line"))??;
         let mut toks = line.split_whitespace();
-        let wgt: f64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad vertex weight"))?;
-        let size: f64 = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad("bad vertex size"))?;
+        let wgt = parse_amount(toks.next(), "vertex weight")?;
+        let size = parse_amount(toks.next(), "vertex size")?;
         b.set_vertex_weight(v, wgt);
         b.set_vertex_size(v, size);
     }
@@ -84,7 +89,8 @@ pub fn read_hypergraph<R: BufRead>(r: R) -> io::Result<Hypergraph> {
 /// as edge weights; `pattern` entries get weight 1). Diagonal entries are
 /// dropped; the structure is symmetrized. Only square matrices are
 /// accepted, matching the paper's symmetric test problems. A size line
-/// that declares an entry count must match the entry lines that follow.
+/// that declares an entry count must match the entry lines that follow,
+/// and a value must be a finite number (`nan` and `inf` are rejected).
 pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut lines = r.lines().map_while(Result::ok);
@@ -131,11 +137,16 @@ pub fn read_matrix_market_graph<R: BufRead>(r: R) -> io::Result<CsrGraph> {
         if i == j {
             continue;
         }
-        let w = if toks.len() >= 3 {
-            toks[2].parse::<f64>().map(f64::abs).unwrap_or(1.0)
-        } else {
-            1.0
+        let w = match toks.get(2) {
+            Some(t) => t
+                .parse::<f64>()
+                .map(f64::abs)
+                .map_err(|_| bad(&format!("entry {i} {j}: value {t:?} is not a number")))?,
+            None => 1.0,
         };
+        if !w.is_finite() {
+            return Err(bad(&format!("entry {i} {j}: value {w} is not finite")));
+        }
         b.add_edge(i - 1, j - 1, w);
     }
     if let Some(&declared) = dims.get(2) {
@@ -207,6 +218,40 @@ mod tests {
         }
         // Diagonal entries count toward the declared total.
         assert!(read_matrix_market_graph(Cursor::new("2 2 2\n1 1\n1 2\n")).is_ok());
+    }
+
+    #[test]
+    fn matrix_market_rejects_values_that_are_not_finite_numbers() {
+        for (value, needle) in [
+            ("nan", "not finite"),
+            ("NaN", "not finite"),
+            ("inf", "not finite"),
+            ("-inf", "not finite"),
+            ("abc", "not a number"),
+            ("1.0x", "not a number"),
+        ] {
+            let text = format!("3 3 2\n1 2 {value}\n1 3 2.0\n");
+            let err = read_matrix_market_graph(Cursor::new(text)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(needle), "{value}: {err}");
+        }
+    }
+
+    #[test]
+    fn hypergraph_rejects_negative_or_non_finite_amounts() {
+        for (text, what) in [
+            ("2 1 2\n-1 0 1\n1 1\n1 1\n", "net cost"),
+            ("2 1 2\nnan 0 1\n1 1\n1 1\n", "net cost"),
+            ("2 1 2\ninf 0 1\n1 1\n1 1\n", "net cost"),
+            ("2 1 2\n1 0 1\n-3 1\n1 1\n", "vertex weight"),
+            ("2 1 2\n1 0 1\n1 1\nNaN 1\n", "vertex weight"),
+            ("2 1 2\n1 0 1\n1 -0.5\n1 1\n", "vertex size"),
+            ("2 1 2\n1 0 1\n1 1\n1 inf\n", "vertex size"),
+        ] {
+            let err = read_hypergraph(Cursor::new(text)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            assert!(err.to_string().contains(what), "{text:?}: {err}");
+        }
     }
 
     #[test]

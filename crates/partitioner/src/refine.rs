@@ -11,7 +11,44 @@
 //!
 //! Gains use the k-1 metric directly: moving `v` from `p` to `q` changes
 //! the cut by `Σ_{n ∋ v} c_n·([σ(n,p)=1] − [σ(n,q)=0])`, where `σ(n,p)`
-//! is the number of `n`'s pins in part `p`.
+//! is the number of `n`'s pins in part `p`. [`km1_gain`] and
+//! [`km1_best_move`] compute it fresh from the pin counts in O(deg·k);
+//! they are the definition, and the SPMD refiners call them directly.
+//!
+//! # The gain cache
+//!
+//! The serial refiner ([`refine_threads`]) memoizes those sums in a gain
+//! cache (Gottesbüren, Heuer, Sanders and Schlag, *Scalable
+//! Shared-Memory Hypergraph Partitioning*), so a move is evaluated in
+//! O(k) instead of O(deg·k). Per vertex `v` it keeps
+//!
+//! * `benefit[v]` = Σ c_e over `v`'s nets with σ(e, part v) = 1, and
+//! * per part `q`, `present` = Σ c_e over `v`'s nets with σ(e, q) ≥ 1
+//!   and `conn`, the number of those nets (`q` is a move candidate iff
+//!   `conn > 0`; `present` at `v`'s own part is its total net cost),
+//!
+//! so that `gain(v, q) = benefit[v] − (present[v,p] − present[v,q])`.
+//! The cache is built once per call, per vertex chunk, walking each
+//! vertex's nets in the same order as [`km1_best_move`]. A move of `v`
+//! from `p` to `q` then updates it only where a net's pin count crosses
+//! a threshold:
+//!
+//! * σ(e,p) reaches 0: every pin of `e` loses `c_e` of `present` and
+//!   one `conn` at `p`;
+//! * σ(e,q) reaches 1: every pin of `e` gains them at `q`;
+//! * σ(e,p) falls to 1: the one pin left in `p` gains `c_e` of benefit;
+//! * σ(e,q) rises to 2: the other pin in `q` loses `c_e` of benefit;
+//! * `benefit[v]` is re-summed in net order.
+//!
+//! **Exactness contract.** On integer-valued net costs (unit costs,
+//! AMR `state_bytes`, α-scaled migration nets) every cached sum is an
+//! exact integer, so cached gains equal the fresh kernel's bit for bit
+//! and the refiner makes the same moves it would make without the
+//! cache. With fractional costs (the weight-perturbation workload) the
+//! deltas may round differently from a fresh sum; the cache is rebuilt
+//! per call, so that drift never outlives one [`refine_threads`] call.
+//! The SPMD refiners, whose accept rules test `gain == 0.0` on such
+//! costs, keep the fresh kernel.
 //!
 //! With multi-constraint loads every move is additionally capped on each
 //! auxiliary constraint, and a separate **greedy repair** pass
@@ -32,18 +69,14 @@ use rand::seq::SliceRandom;
 use crate::config::{PartTargets, RefinementConfig};
 use crate::fixed::FixedAssignment;
 
-/// Nets larger than this do not trigger neighbor re-queues after a move;
-/// their pins' gains drift slightly until popped (and are then
-/// recomputed exactly). Keeps huge nets from making passes quadratic.
+/// Nets larger than this do not re-queue their pins after a move. It
+/// bounds re-queues only: the gain cache updates every net's pins, and a
+/// pin whose gain changed is revalidated exactly when it is popped.
+/// Keeps huge nets from making passes quadratic.
 const MAX_NET_SIZE_FOR_UPDATES: usize = 400;
 
-/// Chunk size for parallel FM gain seeding: a `best_move` walks all of a
-/// vertex's nets, so chunks are smaller than [`parallel::DEFAULT_CHUNK`]
-/// to keep workers even on skewed boundaries.
-const SEED_CHUNK: usize = 1024;
-
-/// Incrementally maintained partition state: per-net-per-part pin counts
-/// and part weights.
+/// Incrementally maintained partition state: per-net-per-part pin counts,
+/// part weights and, in the serial refiner, the gain cache.
 pub struct PartitionState<'a> {
     h: &'a Hypergraph,
     k: usize,
@@ -61,6 +94,29 @@ pub struct PartitionState<'a> {
     pub aux_weights: Vec<f64>,
     /// Current assignment.
     pub part: Vec<PartId>,
+    /// The gain cache (module docs); `None` until
+    /// [`Self::build_gain_cache`], and then kept exact by [`Self::apply`].
+    cache: Option<GainCache>,
+}
+
+/// The memoized k−1 gain terms of every vertex (module docs).
+struct GainCache {
+    /// `benefit[v]`: Σ c_e over `v`'s nets with σ(e, part v) = 1.
+    benefit: Vec<f64>,
+    /// `terms[v*k + q]`: `v`'s connection to part `q`.
+    terms: Vec<PartTerm>,
+    /// Pins touched by the delta rules since the last
+    /// [`PartitionState::take_cache_pin_updates`].
+    pin_updates: u64,
+}
+
+/// One vertex's connection to one part.
+#[derive(Clone, Copy, Default)]
+struct PartTerm {
+    /// Σ c_e over the vertex's nets with σ(e, q) ≥ 1.
+    present: f64,
+    /// The number of those nets.
+    conn: u32,
 }
 
 impl<'a> PartitionState<'a> {
@@ -134,7 +190,48 @@ impl<'a> PartitionState<'a> {
                 }
             }
         }
-        PartitionState { h, k, threads, sigma, weights, aux_weights, part }
+        PartitionState { h, k, threads, sigma, weights, aux_weights, part, cache: None }
+    }
+
+    /// Builds the gain cache from the current pin counts, per vertex
+    /// chunk. Each vertex walks its nets in the order [`km1_best_move`]
+    /// does, so the sums equal the fresh kernel's bit for bit at every
+    /// thread count.
+    pub(crate) fn build_gain_cache(&mut self) {
+        let (h, k, sigma, part) = (self.h, self.k, &self.sigma, &self.part);
+        let n = h.num_vertices();
+        let mut terms = vec![PartTerm::default(); n * k];
+        let chunk = parallel::DEFAULT_CHUNK;
+        parallel::fill_chunks(self.threads, n, chunk, k, &mut terms, |_, range, window| {
+            for (v, row) in range.zip(window.chunks_mut(k)) {
+                for &j in h.vertex_nets(v) {
+                    let c = h.net_cost(j);
+                    for (q, t) in row.iter_mut().enumerate() {
+                        if sigma[j * k + q] > 0 {
+                            t.present += c;
+                            t.conn += 1;
+                        }
+                    }
+                }
+            }
+        });
+        let mut benefit = vec![0.0f64; n];
+        parallel::fill_chunks(self.threads, n, chunk, 1, &mut benefit, |_, range, window| {
+            for (v, b) in range.zip(window.iter_mut()) {
+                for &j in h.vertex_nets(v) {
+                    if sigma[j * k + part[v]] == 1 {
+                        *b += h.net_cost(j);
+                    }
+                }
+            }
+        });
+        self.cache = Some(GainCache { benefit, terms, pin_updates: 0 });
+    }
+
+    /// Pins the gain cache's delta rules touched since the last call (0
+    /// without a cache), resetting the tally.
+    pub(crate) fn take_cache_pin_updates(&mut self) -> u64 {
+        self.cache.as_mut().map_or(0, |c| std::mem::take(&mut c.pin_updates))
     }
 
     #[inline]
@@ -142,15 +239,36 @@ impl<'a> PartitionState<'a> {
         self.sigma[j * self.k + p]
     }
 
-    /// Moves `v` to part `q`, updating pin counts and weights.
+    /// Moves `v` to part `q`, updating pin counts, weights and, when
+    /// built, the gain cache.
     pub fn apply(&mut self, v: usize, q: PartId) {
         let p = self.part[v];
         if p == q {
             return;
         }
-        for &j in self.h.vertex_nets(v) {
-            self.sigma[j * self.k + p] -= 1;
-            self.sigma[j * self.k + q] += 1;
+        let (h, k) = (self.h, self.k);
+        // `v` is in `q` from here on, so the pin scans below see it there.
+        self.part[v] = q;
+        match &mut self.cache {
+            None => {
+                for &j in h.vertex_nets(v) {
+                    self.sigma[j * k + p] -= 1;
+                    self.sigma[j * k + q] += 1;
+                }
+            }
+            Some(cache) => {
+                let mut benefit = 0.0;
+                for &j in h.vertex_nets(v) {
+                    self.sigma[j * k + p] -= 1;
+                    self.sigma[j * k + q] += 1;
+                    let (sp, sq) = (self.sigma[j * k + p], self.sigma[j * k + q]);
+                    cache.net_moved(h, k, &self.part, j, v, (p, sp), (q, sq));
+                    if sq == 1 {
+                        benefit += h.net_cost(j);
+                    }
+                }
+                cache.benefit[v] = benefit;
+            }
         }
         let w = self.h.vertex_weight(v);
         self.weights[p] -= w;
@@ -162,7 +280,6 @@ impl<'a> PartitionState<'a> {
                 self.aux_weights[(c - 1) * self.k + q] += l;
             }
         }
-        self.part[v] = q;
     }
 
     /// Per-part load of auxiliary constraint `c` (1-based, `c ∈ 1..arity`).
@@ -202,28 +319,48 @@ impl<'a> PartitionState<'a> {
         true
     }
 
-    /// The gain (cut decrease) of moving `v` to `q` under the k-1 metric.
+    /// The gain (cut decrease) of moving `v` to `q` under the k-1 metric:
+    /// read from the gain cache when built, else [`km1_gain`].
     pub fn gain(&self, v: usize, q: PartId) -> f64 {
         let h = self.h;
-        km1_gain(&self.sigma, self.k, h.vertex_nets(v), |j| h.net_cost(j), self.part[v], q)
+        let p = self.part[v];
+        match &self.cache {
+            Some(_) if p == q => 0.0,
+            Some(cache) => cache.gain(self.k, v, p, q),
+            None => km1_gain(&self.sigma, self.k, h.vertex_nets(v), |j| h.net_cost(j), p, q),
+        }
     }
 
     /// The best feasible move for `v`: the highest-gain target part among
-    /// the parts `v`'s nets already touch (ties → lighter part), subject
-    /// to the weight cap. `scratch` must be a `k`-length pair of arrays
-    /// used as a stamped accumulator.
+    /// the parts `v`'s nets already touch (ties → lighter part, then
+    /// lower part id), subject to the weight cap. Reads the gain cache in
+    /// O(k) when built, else runs [`km1_best_move`] with `scratch` as its
+    /// stamped accumulator.
     pub fn best_move(
         &self,
         v: usize,
         targets: &PartTargets,
         scratch: &mut MoveScratch,
     ) -> Option<(PartId, f64)> {
+        let p = self.part[v];
+        if let Some(cache) = &self.cache {
+            let row = &cache.terms[v * self.k..][..self.k];
+            return select_best_move(
+                self.k,
+                p,
+                self.h.vertex_weight(v),
+                &self.weights,
+                targets,
+                |q| self.aux_fits(v, q, targets),
+                |q| (row[q].conn > 0).then(|| cache.gain(self.k, v, p, q)),
+            );
+        }
         km1_best_move(
             &self.sigma,
             self.k,
             self.h.vertex_nets(v),
             |j| self.h.net_cost(j),
-            self.part[v],
+            p,
             self.h.vertex_weight(v),
             &self.weights,
             targets,
@@ -302,12 +439,78 @@ impl<'a> PartitionState<'a> {
     }
 }
 
+impl GainCache {
+    /// The cached gain of moving `v` from its part `p` to `q ≠ p`.
+    #[inline]
+    fn gain(&self, k: usize, v: usize, p: PartId, q: PartId) -> f64 {
+        let row = &self.terms[v * k..][..k];
+        self.benefit[v] - (row[p].present - row[q].present)
+    }
+
+    /// The delta rules for net `j` after `v` moved from `p` to `q`
+    /// (`part` already has `v` in `q`); `sp`/`sq` are the net's new pin
+    /// counts in `p` and `q`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn net_moved(
+        &mut self,
+        h: &Hypergraph,
+        k: usize,
+        part: &[PartId],
+        j: usize,
+        v: usize,
+        (p, sp): (PartId, u32),
+        (q, sq): (PartId, u32),
+    ) {
+        let c = h.net_cost(j);
+        let pins = h.net(j);
+        if sp == 0 {
+            for &u in pins {
+                let t = &mut self.terms[u * k + p];
+                t.present -= c;
+                t.conn -= 1;
+            }
+            self.pin_updates += pins.len() as u64;
+        } else if sp == 1 {
+            self.pin_updates += bump_benefit(&mut self.benefit, pins, |u| part[u] == p, c);
+        }
+        if sq == 1 {
+            for &u in pins {
+                let t = &mut self.terms[u * k + q];
+                t.present += c;
+                t.conn += 1;
+            }
+            self.pin_updates += pins.len() as u64;
+        } else if sq == 2 {
+            let other = |u: usize| u != v && part[u] == q;
+            self.pin_updates += bump_benefit(&mut self.benefit, pins, other, -c);
+        }
+    }
+}
+
+/// Adds `delta` to the benefit of the first pin of `pins` that `is_it`
+/// selects; returns the number of pins scanned.
+#[inline]
+fn bump_benefit(
+    benefit: &mut [f64],
+    pins: &[usize],
+    is_it: impl Fn(usize) -> bool,
+    delta: f64,
+) -> u64 {
+    for (i, &u) in pins.iter().enumerate() {
+        if is_it(u) {
+            benefit[u] += delta;
+            return i as u64 + 1;
+        }
+    }
+    pins.len() as u64
+}
+
 /// Reusable per-call scratch for [`km1_best_move`], shared by the
 /// replicated and the distributed refiners.
 pub struct MoveScratch {
     mark: Vec<u64>,
     present: Vec<f64>,
-    cands: Vec<usize>,
     stamp: u64,
 }
 
@@ -317,7 +520,6 @@ impl MoveScratch {
         MoveScratch {
             mark: vec![0; k],
             present: vec![0.0; k],
-            cands: Vec::new(),
             stamp: 0,
         }
     }
@@ -364,9 +566,9 @@ pub(crate) fn km1_gain(
 
 /// The best feasible k-1 move of a vertex in part `p` with weight `w`
 /// and incident nets `nets`: the highest-gain part among those the nets
-/// already touch (ties within 1e-12 → lighter part), skipping parts
-/// whose weight cap or `aux_fits` predicate rejects the vertex. One
-/// walk over the nets accumulates the leave term and, per candidate
+/// already touch, skipping parts whose weight cap or `aux_fits`
+/// predicate rejects the vertex ([`select_best_move`] has the tie rule).
+/// One walk over the nets accumulates the leave term and, per candidate
 /// part, the cost of the nets already present there.
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -399,19 +601,39 @@ pub(crate) fn km1_best_move(
                 if scratch.mark[q] != stamp {
                     scratch.mark[q] = stamp;
                     scratch.present[q] = 0.0;
-                    scratch.cands.push(q);
                 }
                 scratch.present[q] += c;
             }
         }
     }
+    let scratch = &*scratch;
+    select_best_move(k, p, w, weights, targets, aux_fits, |q| {
+        (scratch.mark[q] == stamp).then(|| base - (total - scratch.present[q]))
+    })
+}
 
+/// The move-selection rule shared by [`km1_best_move`] and the gain
+/// cache: over the parts `q ≠ p` in ascending id for which `gain_to`
+/// yields a gain (the candidates), skipping those whose weight cap or
+/// `aux_fits` predicate rejects a vertex of weight `w`, the highest gain
+/// wins; gains within 1e-12 go to the lighter part, then to the lower
+/// part id.
+#[inline]
+fn select_best_move(
+    k: usize,
+    p: PartId,
+    w: f64,
+    weights: &[f64],
+    targets: &PartTargets,
+    aux_fits: impl Fn(PartId) -> bool,
+    gain_to: impl Fn(PartId) -> Option<f64>,
+) -> Option<(PartId, f64)> {
     let mut best: Option<(PartId, f64)> = None;
-    for &q in &scratch.cands {
+    for q in (0..k).filter(|&q| q != p) {
+        let Some(gain) = gain_to(q) else { continue };
         if weights[q] + w > targets.cap(q) || !aux_fits(q) {
             continue;
         }
-        let gain = base - (total - scratch.present[q]);
         match best {
             Some((bq, bg)) => {
                 if gain > bg + 1e-12 || (gain > bg - 1e-12 && weights[q] < weights[bq]) {
@@ -421,7 +643,6 @@ pub(crate) fn km1_best_move(
             None => best = Some((q, gain)),
         }
     }
-    scratch.cands.clear();
     best
 }
 
@@ -862,33 +1083,15 @@ fn fm_pass(
     let mut boundary = std::mem::take(&mut scratch.boundary);
     state.boundary_vertices_into(&mut boundary);
     boundary.shuffle(rng);
-    // Parallel gain seeding: the partition is frozen here, so
-    // `best_move` is a pure function of (state, v) — computing
-    // seeds across workers (per-worker MoveScratch) and pushing them in
-    // boundary order is bit-identical to the serial loop in both
-    // determinism modes.
-    let state_ref: &PartitionState = state;
-    let seeds = parallel::map_chunks_with(
-        state_ref.threads,
-        boundary.len(),
-        SEED_CHUNK,
-        || MoveScratch::new(state_ref.k),
-        |mv, _, range| {
-            let mut out: Vec<(usize, PartId, f64)> = Vec::with_capacity(range.len());
-            for &v in &boundary[range] {
-                if fixed.is_fixed(v) {
-                    continue;
-                }
-                if let Some((to, gain)) = state_ref.best_move(v, targets, mv) {
-                    out.push((v, to, gain));
-                }
-            }
-            out
-        },
-    );
-    for (v, to, gain) in seeds.into_iter().flatten() {
-        scratch.heap.push(Cand { gain, v, to });
-        scratch.queued[v] = true;
+    // Seeds are O(k) cache reads, pushed in boundary order.
+    for &v in &boundary {
+        if fixed.is_fixed(v) {
+            continue;
+        }
+        if let Some((to, gain)) = state.best_move(v, targets, &mut scratch.mv) {
+            scratch.heap.push(Cand { gain, v, to });
+            scratch.queued[v] = true;
+        }
     }
     scratch.boundary = boundary;
 
@@ -958,6 +1161,7 @@ fn fm_pass(
         dlb_trace::Counter::FmMovesRolledBack,
         attempted - best_len as u64,
     );
+    dlb_trace::count(dlb_trace::Counter::FmCachePinUpdates, state.take_cache_pin_updates());
     best_cum
 }
 
@@ -976,10 +1180,11 @@ pub fn refine(
     refine_threads(h, targets, fixed, part, cfg, rng, 1, &mut scratch)
 }
 
-/// [`refine`] with an explicit worker-thread count (state builds and
-/// boundary/cut scans) and a caller-owned [`RefineScratch`] reused across
-/// calls. Bit-identical to [`refine`] at every thread count: the FM move
-/// loop itself is serial; only whole-partition scans are chunked.
+/// [`refine`] with an explicit worker-thread count (state and gain-cache
+/// builds, boundary/cut scans) and a caller-owned [`RefineScratch`]
+/// reused across calls. Bit-identical to [`refine`] at every thread
+/// count: the FM move loop itself is serial; only the builds and the
+/// whole-partition scans are chunked.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_threads(
     h: &Hypergraph,
@@ -1003,6 +1208,7 @@ pub fn refine_threads(
         );
     }
     let mut state = PartitionState::new_threads(h, k, std::mem::take(part), threads);
+    state.build_gain_cache();
     scratch.mv.ensure(k);
 
     rebalance(&mut state, targets, fixed, &mut scratch.mv);
@@ -1034,7 +1240,7 @@ pub fn refine_threads(
 mod tests {
     use super::*;
     use dlb_hypergraph::metrics;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn uniform_targets(h: &Hypergraph, k: usize) -> PartTargets {
         PartTargets::uniform(h.total_vertex_weight(), k, 0.05)
@@ -1074,6 +1280,127 @@ mod tests {
                 );
                 state.apply(v, from);
             }
+        }
+    }
+
+    /// Asserts that the maintained gain cache equals a fresh build bit
+    /// for bit, and that every cached gain and best move equals the
+    /// fresh kernels' on the same pin counts and part weights.
+    fn assert_cache_exact(state: &PartitionState, targets: &PartTargets, mv: &mut MoveScratch) {
+        let (h, k) = (state.h, state.k);
+        let bits = |c: &GainCache| -> (Vec<u64>, Vec<(u64, u32)>) {
+            (
+                c.benefit.iter().map(|b| b.to_bits()).collect(),
+                c.terms.iter().map(|t| (t.present.to_bits(), t.conn)).collect(),
+            )
+        };
+        let mut rebuilt = PartitionState::new(h, k, state.part.clone());
+        rebuilt.build_gain_cache();
+        let maintained = state.cache.as_ref().expect("cache built");
+        assert_eq!(bits(maintained), bits(rebuilt.cache.as_ref().unwrap()));
+        for v in 0..h.num_vertices() {
+            let (p, nets, cost) = (state.part[v], h.vertex_nets(v), |j| h.net_cost(j));
+            let fresh = km1_best_move(
+                &state.sigma,
+                k,
+                nets,
+                cost,
+                p,
+                h.vertex_weight(v),
+                &state.weights,
+                targets,
+                |q| state.aux_fits(v, q, targets),
+                mv,
+            );
+            let as_bits = |m: Option<(PartId, f64)>| m.map(|(q, g)| (q, g.to_bits()));
+            assert_eq!(as_bits(state.best_move(v, targets, mv)), as_bits(fresh), "best_move({v})");
+            for q in 0..k {
+                let fresh = km1_gain(&state.sigma, k, nets, cost, p, q);
+                assert_eq!(state.gain(v, q).to_bits(), fresh.to_bits(), "gain({v}, {q})");
+            }
+        }
+    }
+
+    #[test]
+    fn gain_cache_stays_exact_under_moves_and_rollback() {
+        for k in [2usize, 3, 8] {
+            let n = 60;
+            let h = crate::tests::random_hypergraph(n, 120, 9, 17 + k as u64);
+            let t = uniform_targets(&h, k);
+            let mut fixed = FixedAssignment::free(n);
+            let part: Vec<usize> = (0..n).map(|v| (v * 5 + v / 7) % k).collect();
+            for v in (0..n).step_by(7) {
+                fixed.fix(v, part[v]);
+            }
+            let mut state = PartitionState::new(&h, k, part);
+            state.build_gain_cache();
+            let mut mv = MoveScratch::new(k);
+            assert_cache_exact(&state, &t, &mut mv);
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            let mut applied = Vec::new();
+            while applied.len() < 40 {
+                let v = rng.gen_range(0..n);
+                let q = rng.gen_range(0..k);
+                if fixed.is_fixed(v) || q == state.part[v] {
+                    continue;
+                }
+                applied.push((v, state.part[v]));
+                state.apply(v, q);
+                assert_cache_exact(&state, &t, &mut mv);
+            }
+            for &(v, from) in applied.iter().rev() {
+                state.apply(v, from);
+                assert_cache_exact(&state, &t, &mut mv);
+            }
+            assert!(state.take_cache_pin_updates() > 0);
+        }
+    }
+
+    #[test]
+    fn cached_fm_makes_the_fresh_kernels_moves() {
+        for k in [2usize, 3, 8] {
+            let n = 200;
+            let h = crate::tests::random_hypergraph(n, 400, 6, k as u64);
+            let t = uniform_targets(&h, k);
+            let mut fixed = FixedAssignment::free(n);
+            for v in (0..n).step_by(11) {
+                fixed.fix(v, v % k);
+            }
+            let part: Vec<usize> = (0..n).map(|v| fixed.get(v).unwrap_or(v * 7 % k)).collect();
+            let run = |cached: bool| {
+                let mut state = PartitionState::new(&h, k, part.clone());
+                if cached {
+                    state.build_gain_cache();
+                }
+                let mut scratch = RefineScratch::new();
+                scratch.mv.ensure(k);
+                let mut rng = StdRng::seed_from_u64(9);
+                rebalance(&mut state, &t, &fixed, &mut scratch.mv);
+                let cfg = RefinementConfig::default();
+                let mut pass = || fm_pass(&mut state, &t, &fixed, &cfg, &mut scratch, &mut rng);
+                let gains: Vec<u64> = (0..3).map(|_| pass().to_bits()).collect();
+                (state.part, gains)
+            };
+            assert_eq!(run(true), run(false), "k={k}");
+        }
+    }
+
+    #[test]
+    fn best_move_ties_go_to_the_lighter_then_the_lower_part() {
+        // Vertex 0 sits alone in part 0 with one unit net to each of
+        // parts 1, 2 and 3 (listed in descending part order): every move
+        // uncuts exactly one net, so weights and then part ids decide.
+        let h = Hypergraph::from_nets(4, &[vec![0, 3], vec![0, 2], vec![0, 1]], vec![1.0; 3]);
+        let t = PartTargets::uniform(4.0, 4, 2.0);
+        let mut mv = MoveScratch::new(4);
+        for cached in [false, true] {
+            let mut state = PartitionState::new(&h, 4, vec![0, 1, 2, 3]);
+            if cached {
+                state.build_gain_cache();
+            }
+            assert_eq!(state.best_move(0, &t, &mut mv), Some((1, 1.0)));
+            state.weights[1] += 0.5;
+            assert_eq!(state.best_move(0, &t, &mut mv), Some((2, 1.0)));
         }
     }
 

@@ -124,6 +124,10 @@ pub enum Counter {
     FmMovesAccepted,
     /// FM moves undone by prefix rollback.
     FmMovesRolledBack,
+    /// Pins the serial refiner's gain-cache delta rules touched over all
+    /// its moves (FM, rollback, rebalance, repair), tallied locally and
+    /// counted once per FM pass.
+    FmCachePinUpdates,
     /// Invocations of the greedy rebalance fixer (serial and
     /// distributed variants).
     RebalanceInvocations,
@@ -184,7 +188,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration (= export) order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 31] = [
         Counter::CoarsenLevels,
         Counter::CoarsenMatchesAccepted,
         Counter::CoarsenMatchesRefusedFixed,
@@ -197,6 +201,7 @@ impl Counter {
         Counter::FmMovesAttempted,
         Counter::FmMovesAccepted,
         Counter::FmMovesRolledBack,
+        Counter::FmCachePinUpdates,
         Counter::RebalanceInvocations,
         Counter::ParRefineMovesCommitted,
         Counter::VcyclesRun,
@@ -232,6 +237,7 @@ impl Counter {
             Counter::FmMovesAttempted => "fm_moves_attempted",
             Counter::FmMovesAccepted => "fm_moves_accepted",
             Counter::FmMovesRolledBack => "fm_moves_rolled_back",
+            Counter::FmCachePinUpdates => "fm_cache_pin_updates",
             Counter::RebalanceInvocations => "rebalance_invocations",
             Counter::ParRefineMovesCommitted => "par_refine_moves_committed",
             Counter::VcyclesRun => "vcycles_run",

@@ -266,6 +266,25 @@ fn rejects_matrix_market_entry_count_mismatch() {
 }
 
 #[test]
+fn rejects_bad_values_in_input_files() {
+    let dir = tmpdir("bad-values");
+    let mtx = "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n";
+    for (name, text, needle) in [
+        ("nan.mtx", format!("{mtx}2 1 nan\n3 2 1.0\n"), "value NaN is not finite"),
+        ("inf.mtx", format!("{mtx}2 1 1.0\n3 2 inf\n"), "value inf is not finite"),
+        ("abc.mtx", format!("{mtx}2 1 abc\n3 2 1.0\n"), "value \"abc\" is not a number"),
+        ("neg-cost.hg", "2 1 2\n-1 0 1\n1 1\n1 1\n".to_string(), "net cost -1"),
+        ("nan-cost.hg", "2 1 2\nnan 0 1\n1 1\n1 1\n".to_string(), "net cost NaN"),
+        ("neg-weight.hg", "2 1 2\n1 0 1\n-3 1\n1 1\n".to_string(), "vertex weight -3"),
+        ("neg-size.hg", "2 1 2\n1 0 1\n1 1\n1 -2\n".to_string(), "vertex size -2"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        assert_rejected(&["partition", "-k", "2", path.to_str().unwrap()], needle);
+    }
+}
+
+#[test]
 fn rejects_simulate_only_flags_on_file_commands() {
     // Previously these parsed fine and were silently ignored.
     assert_rejected(
